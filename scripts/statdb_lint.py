@@ -70,6 +70,15 @@ CI next to the thread-safety lane:
                             Layers below causal (storage, fault) stay on
                             the bare form by design: the recorder stamps
                             the ambient thread-local context for them.
+  R9 one-query-scope        In src/core/dbms.cc, FlightEventKind::kQueryBegin,
+                            FlightEventKind::kQueryEnd and EmitQueryObs(
+                            appear only inside the QueryScope class body.
+                            Every public Query* wrapper brackets its body
+                            with one QueryScope, which owns the begin/end
+                            pairing, the obs/SLO emission and the commit
+                            (DESIGN.md §9); a wrapper recording them by
+                            hand is how the pairing and the WAL commit
+                            drifted apart across entry points before.
 
 Usage:
   scripts/statdb_lint.py             # lint the repo; exit 1 on findings
@@ -526,6 +535,58 @@ def check_causal_events(path, text):
     return findings
 
 
+# --- R9: query begin/end and obs emission live in QueryScope only -----------
+
+QUERY_SCOPE_FILE = "src/core/dbms.cc"
+QUERY_SCOPE_CLASS_RE = re.compile(
+    r"\bclass\s+(?:StatisticalDbms\s*::\s*)?QueryScope\s*\{"
+)
+QUERY_SCOPE_TOKEN_RE = re.compile(
+    r"\bFlightEventKind\s*::\s*(kQueryBegin|kQueryEnd)\b|"
+    r"\b(EmitQueryObs)\s*\("
+)
+
+
+def _brace_span(text, open_idx):
+    """(start, end) of the brace block opening at open_idx."""
+    depth = 0
+    for i in range(open_idx, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return open_idx, i
+    return open_idx, len(text)
+
+
+def check_query_scope(path, text):
+    if path.replace(os.sep, "/") != QUERY_SCOPE_FILE:
+        return []
+    stripped = strip_comments(text)
+    scopes = [
+        _brace_span(stripped, m.end() - 1)
+        for m in QUERY_SCOPE_CLASS_RE.finditer(stripped)
+    ]
+    findings = []
+    for m in QUERY_SCOPE_TOKEN_RE.finditer(stripped):
+        if any(a <= m.start() <= b for a, b in scopes):
+            continue
+        lineno = stripped.count("\n", 0, m.start()) + 1
+        token = m.group(1) or m.group(2) + "("
+        findings.append(
+            Finding(
+                "one-query-scope",
+                path,
+                lineno,
+                f"{token} outside QueryScope — query begin/end events and "
+                "obs emission belong to the one RAII scope every Query* "
+                "wrapper opens (DESIGN.md §9)",
+            )
+        )
+    return findings
+
+
 # --- driver ------------------------------------------------------------------
 
 
@@ -541,6 +602,7 @@ def lint_corpus(files):
         findings += check_readpath_latch(path, text)
         findings += check_delta_routing(path, text)
         findings += check_causal_events(path, text)
+        findings += check_query_scope(path, text)
     findings += check_nodiscard(files)
     return findings
 
@@ -609,6 +671,18 @@ SELF_TEST_SNIPPETS = {
         "void NoteDegraded(FlightRecorder* flight) {\n"
         "  flight->Record(\n"
         "      FlightEventKind::kDegraded, \"oops\");\n"
+        "}\n",
+    ),
+    "one-query-scope": (
+        # Replaces the real dbms.cc: the scope records the begin event,
+        # but a wrapper also records its own end event by hand.
+        "src/core/dbms.cc",
+        "class StatisticalDbms::QueryScope {\n"
+        "  void Begin() { Record(ctx, FlightEventKind::kQueryBegin, l); }\n"
+        "};\n"
+        "Result<QueryAnswer> StatisticalDbms::Query() {\n"
+        "  QueryScope scope(this);\n"
+        "  flight_.Record(ctx, FlightEventKind::kQueryEnd, l);\n"
         "}\n",
     ),
 }

@@ -15,7 +15,6 @@
 #include "session/session.h"
 #include "storage/column_file.h"
 #include "stats/descriptive.h"
-#include "stats/correlation.h"
 #include "stats/crosstab.h"
 #include "stats/regression.h"
 #include "stats/tests.h"
@@ -31,10 +30,10 @@ bool MeaningfulOnCategories(const std::string& function) {
 }
 
 /// True for functions whose answer finishes from the merged partial
-/// states of a parallel scan (DescriptiveStats + ValueCounts) without
+/// states of a column scan (DescriptiveStats + ValueCounts) without
 /// ever materializing the column. Everything else rides the keep_values
 /// path and is computed by the registry on the gathered column, which is
-/// bit-identical to the serial read.
+/// bit-identical to a whole-column read.
 bool IsMergeable(const std::string& function) {
   return function == "count" || function == "sum" || function == "mean" ||
          function == "variance" || function == "stddev" ||
@@ -48,6 +47,14 @@ bool NeedsValueCounts(const std::string& function) {
          function == "histogram";
 }
 
+/// Whether a one-chunk (dop 1) scan builds value counts for `function`.
+/// Value counts exist to merge chunks; with the whole column in hand the
+/// registry's sort (distinct) and one-pass (histogram) functions are
+/// cheaper, but its ordered-map mode is not.
+bool CountsInOneChunk(const std::string& function) {
+  return function == "mode";
+}
+
 TraceOutcome OutcomeOfSource(AnswerSource source) {
   switch (source) {
     case AnswerSource::kCacheHit: return TraceOutcome::kCacheHit;
@@ -56,16 +63,6 @@ TraceOutcome OutcomeOfSource(AnswerSource source) {
     case AnswerSource::kComputed: return TraceOutcome::kComputed;
   }
   return TraceOutcome::kUnknown;
-}
-
-/// Batch provenance: the most expensive source any request needed.
-TraceOutcome OutcomeOfBatch(const std::vector<QueryAnswer>& answers) {
-  TraceOutcome out = TraceOutcome::kCacheHit;
-  for (const QueryAnswer& a : answers) {
-    TraceOutcome o = OutcomeOfSource(a.source);
-    if (static_cast<uint8_t>(o) > static_cast<uint8_t>(out)) out = o;
-  }
-  return answers.empty() ? TraceOutcome::kUnknown : out;
 }
 
 uint64_t PagesOf(uint64_t rows) {
@@ -106,8 +103,8 @@ WorkloadProfiler::QueryOutcome ProfilerOutcome(TraceOutcome outcome) {
 }
 
 /// Finishes one mergeable statistic from the merged scan state,
-/// reproducing the serial functions' values and domain errors (empty
-/// columns fail with the exact strings the serial path uses).
+/// reproducing the registry functions' values and domain errors (empty
+/// columns fail with the exact strings the registry functions use).
 Result<SummaryResult> FinishMergeable(const std::string& function,
                                       const FunctionParams& params,
                                       const ColumnScanResult& scan) {
@@ -143,6 +140,28 @@ Result<SummaryResult> FinishMergeable(const std::string& function,
   if (function == "max") return SummaryResult::Scalar(d.max);
   if (function == "range") return SummaryResult::Scalar(d.max - d.min);
   return InternalError("FinishMergeable on non-mergeable " + function);
+}
+
+/// The finish step of every computed single-attribute answer. Moments
+/// finish from the scan's span-kernel partials; value-count statistics
+/// from its merged ValueCounts when the scan built them (`counted`);
+/// everything else runs the registry function over the gathered column
+/// `values`. Both routes give value-count statistics exactly.
+Result<SummaryResult> FinishUnary(const FunctionRegistry& functions,
+                                  const std::string& function,
+                                  const FunctionParams& params,
+                                  const ColumnScanResult& scan, bool counted,
+                                  const std::vector<double>& values) {
+  if (IsMergeable(function) && (counted || !NeedsValueCounts(function))) {
+    return FinishMergeable(function, params, scan);
+  }
+  return functions.Compute(function, values, params);
+}
+
+/// The answer of a one-request plan.
+Result<QueryAnswer> Only(Result<std::vector<QueryAnswer>> answers) {
+  if (!answers.ok()) return std::move(answers).status();
+  return std::move(answers.value().front());
 }
 
 }  // namespace
@@ -223,37 +242,6 @@ StatisticalDbms::~StatisticalDbms() {
       device.value()->set_flight_recorder(nullptr);
     }
   }
-}
-
-void StatisticalDbms::EmitQueryObs(const TraceTimer& timer,
-                                   QueryTrace* trace, TraceOutcome outcome,
-                                   const std::string& query_class) {
-  double ms = timer.ElapsedMs();
-  obs_query_ms_->Record(ms);
-  obs_outcomes_[size_t(outcome)]->Inc();
-  slo_.Record(query_class, ms, outcome == TraceOutcome::kError);
-  if (trace != nullptr) {
-    trace->SetOutcome(outcome);
-    trace->SetTotalMs(ms);
-    if (trace_sink_ != nullptr) trace_sink_->OnQueryTrace(*trace);
-    if (slow_log_.enabled() && slow_log_.ShouldCapture(ms)) {
-      slow_log_.Capture(*trace, ms, &flight_);
-    }
-  }
-}
-
-void StatisticalDbms::NoteQueryOutcome(const causal::TraceContext& ctx,
-                                       const std::string& view,
-                                       const std::string& function,
-                                       const std::string& attribute,
-                                       TraceOutcome outcome, double wall_ms) {
-  if (flight_.enabled()) {
-    flight_.Record(ctx, FlightEventKind::kQueryEnd,
-                   QueryLabel(view, function, attribute),
-                   static_cast<int64_t>(outcome), 0, wall_ms);
-  }
-  profiler_.NoteQuery(view, function, attribute, ProfilerOutcome(outcome),
-                      wall_ms);
 }
 
 std::string StatisticalDbms::DumpChromeTrace(uint64_t trace_id_filter) {
@@ -517,14 +505,6 @@ Result<Table> StatisticalDbms::RematerializeFromTape(
   return ReadRawFromTape(source);
 }
 
-Result<SummaryResult> StatisticalDbms::ComputeOnView(
-    ViewState* state, const std::string& function,
-    const std::string& attribute, const FunctionParams& params) {
-  STATDB_ASSIGN_OR_RETURN(std::vector<double> data,
-                          state->view->ReadNumericColumn(attribute));
-  return mdb_.functions().Compute(function, data, params);
-}
-
 Status StatisticalDbms::CheckQueryable(const Schema& schema,
                                        const std::string& function,
                                        const std::string& attribute) {
@@ -548,7 +528,6 @@ Status StatisticalDbms::CheckQueryable(const Schema& schema,
 
 Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
     const std::string& view, ViewState* state, const SummaryKey& key,
-    const std::string& function, const std::string& attribute,
     const FunctionParams& params, const QueryOptions& opts,
     QueryAnswer* answer, QueryTrace* trace) {
   // Flush barrier (§16): a cached entry with pending deltas is behind
@@ -567,11 +546,19 @@ Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
     ScopedSpan span(trace, SpanKind::kCacheProbe);
     return state->summary->Lookup(key);
   }();
+  // "fn(attr)" or "fn(a,b)": the label of the probe's flight events.
+  auto label = [&key] {
+    std::string out = key.function + "(";
+    for (size_t i = 0; i < key.attributes.size(); ++i) {
+      if (i > 0) out += ",";
+      out += key.attributes[i];
+    }
+    return out + ")";
+  };
   if (cached.ok() && !cached.value().stale) {
     ++state->traffic.cache_hits;
     if (flight_.enabled()) {
-      flight_.Record(causal::Current(), FlightEventKind::kCacheHit,
-                     function + "(" + attribute + ")");
+      flight_.Record(causal::Current(), FlightEventKind::kCacheHit, label());
     }
     *answer = QueryAnswer{cached.value().result, AnswerSource::kCacheHit,
                           true, ""};
@@ -587,7 +574,7 @@ Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
       state->summary->NoteServedStale();
       if (flight_.enabled()) {
         flight_.Record(causal::Current(), FlightEventKind::kStaleServe,
-                       function + "(" + attribute + ")",
+                       label(),
                        int64_t(state->view->version() -
                                cached.value().view_version));
       }
@@ -598,15 +585,15 @@ Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
     }
   }
   if (flight_.enabled()) {
-    flight_.Record(causal::Current(), FlightEventKind::kCacheMiss,
-                   function + "(" + attribute + ")");
+    flight_.Record(causal::Current(), FlightEventKind::kCacheMiss, label());
   }
 
-  if (opts.allow_inference) {
+  // The inference rules derive single-attribute statistics only.
+  if (opts.allow_inference && key.attributes.size() == 1) {
     ScopedSpan span(trace, SpanKind::kInference);
     Result<InferenceResult> inferred =
-        InferFromSummaries(state->summary.get(), function, attribute,
-                           params);
+        InferFromSummaries(state->summary.get(), key.function,
+                           key.attributes.front(), params);
     if (inferred.ok() &&
         (inferred.value().exact || opts.allow_estimates)) {
       ++state->traffic.inferred;
@@ -652,486 +639,494 @@ Status StatisticalDbms::CacheComputedResult(const std::string& view,
   return Status::OK();
 }
 
+// --- the query pipeline (DESIGN.md §9) --------------------------------------
+
+struct StatisticalDbms::Plan {
+  std::string view;
+  std::vector<QueryRequest> requests;
+  QueryOptions opts;
+  /// Degree of parallelism: 1 scans inline with no pool (serial Query).
+  size_t dop = 1;
+  /// QueryFiltered's row predicate. The predicate is not part of any
+  /// summary key, so a filtered plan neither consults nor feeds the
+  /// Summary Database.
+  std::optional<FilterPredicate> filter = std::nullopt;
+};
+
+struct StatisticalDbms::PairPlan {
+  std::string view;
+  /// correlation | covariance | regression | crosstab |
+  /// chi2_independence | welch_t
+  std::string function;
+  std::string attr_a;
+  std::string attr_b;
+  QueryOptions opts;
+  size_t dop = 1;
+  /// welch_t: the two codes of attr_b whose attr_a groups are compared.
+  int64_t code_a = 0;
+  int64_t code_b = 0;
+};
+
+/// RAII bracket of one public query call. Construction mints the causal
+/// context, builds the QueryTrace when a sink or the slow-query log wants
+/// one, and records one kQueryBegin per target; destruction records the
+/// matching kQueryEnd events, the latency/outcome/SLO sample, the trace
+/// emission and the profiler rows, then commits a successful call to the
+/// WAL. Every public Query* wrapper is one scope around one body, so the
+/// pairing and the commit hold on every path, early errors included.
+class StatisticalDbms::QueryScope {
+ public:
+  /// A one-target call: `function(attribute)` labels the trace, the
+  /// flight pair and the profiler row; `commit_hint` is the attribute
+  /// hint of the WAL record a successful call appends.
+  QueryScope(StatisticalDbms* db, const char* operation,
+             const char* slo_class, const std::string& view,
+             const std::string& function, const std::string& attribute,
+             std::string commit_hint)
+      : QueryScope(db, slo_class, view, {{function, attribute}},
+                   std::move(commit_hint)) {
+    if (trace_) trace_->SetLabel(operation, view, function, attribute);
+  }
+
+  /// QueryMany: one flight pair and profiler row per request, all under
+  /// one trace.
+  QueryScope(StatisticalDbms* db, const std::string& view,
+             const std::vector<QueryRequest>& requests)
+      : QueryScope(db, "query_many", view, TargetsOf(requests),
+                   requests.empty() ? "" : requests.front().attribute) {
+    if (trace_) {
+      trace_->SetLabel("querymany", view,
+                       "[" + std::to_string(requests.size()) + " requests]",
+                       "");
+    }
+  }
+
+  ~QueryScope() {
+    const TraceOutcome outcome = ok_ ? outcome_ : TraceOutcome::kError;
+    EmitQueryObs(outcome);
+    // Per-target provenance for the profiler and the flight ring; a
+    // batch's wall time is split evenly (per-request time is not
+    // observable once scans are shared across requests).
+    const double per_target_ms =
+        timer_.ElapsedMs() / double(std::max<size_t>(targets_.size(), 1));
+    for (size_t i = 0; i < targets_.size(); ++i) {
+      const TraceOutcome o = ok_ ? target_outcomes_[i] : TraceOutcome::kError;
+      if (db_->flight_.enabled()) {
+        db_->flight_.Record(ctx_.ctx(), FlightEventKind::kQueryEnd,
+                            Label(i), static_cast<int64_t>(o), 0,
+                            per_target_ms);
+      }
+      db_->profiler_.NoteQuery(view_, targets_[i].function,
+                               targets_[i].attribute, ProfilerOutcome(o),
+                               per_target_ms);
+    }
+    if (ok_) db_->CommitAfterQuery(commit_hint_);
+  }
+
+  QueryScope(const QueryScope&) = delete;
+  QueryScope& operator=(const QueryScope&) = delete;
+
+  /// nullptr when nothing wants this call's trace.
+  QueryTrace* trace() { return trace_ ? &*trace_ : nullptr; }
+
+  /// Records the call's outcome (emitted by the destructor) and passes
+  /// the result through.
+  Result<QueryAnswer> Finish(Result<QueryAnswer> r) {
+    if (r.ok()) Succeed({OutcomeOfSource(r.value().source)});
+    return r;
+  }
+  Result<std::vector<QueryAnswer>> Finish(
+      Result<std::vector<QueryAnswer>> r) {
+    if (r.ok()) {
+      std::vector<TraceOutcome> outcomes;
+      outcomes.reserve(r.value().size());
+      for (const QueryAnswer& a : r.value()) {
+        outcomes.push_back(OutcomeOfSource(a.source));
+      }
+      Succeed(std::move(outcomes));
+    }
+    return r;
+  }
+
+ private:
+  struct Target {
+    std::string function;
+    std::string attribute;
+  };
+
+  QueryScope(StatisticalDbms* db, const char* slo_class,
+             const std::string& view, std::vector<Target> targets,
+             std::string commit_hint)
+      : db_(db),
+        slo_class_(slo_class),
+        view_(view),
+        targets_(std::move(targets)),
+        commit_hint_(std::move(commit_hint)) {
+    if (db_->WantTrace()) {
+      trace_.emplace();
+      trace_->SetContext(ctx_.ctx().trace_id, ctx_.ctx().session_id,
+                         ctx_.ctx().query_seq);
+    }
+    if (db_->flight_.enabled()) {
+      for (size_t i = 0; i < targets_.size(); ++i) {
+        db_->flight_.Record(ctx_.ctx(), FlightEventKind::kQueryBegin,
+                            Label(i), static_cast<int64_t>(i));
+      }
+    }
+  }
+
+  static std::vector<Target> TargetsOf(
+      const std::vector<QueryRequest>& requests) {
+    std::vector<Target> out;
+    out.reserve(requests.size());
+    for (const QueryRequest& r : requests) {
+      out.push_back({r.function, r.attribute});
+    }
+    return out;
+  }
+
+  std::string Label(size_t i) const {
+    return QueryLabel(view_, targets_[i].function, targets_[i].attribute);
+  }
+
+  /// A batch's outcome is the most expensive source any request needed.
+  void Succeed(std::vector<TraceOutcome> outcomes) {
+    ok_ = true;
+    outcome_ = outcomes.empty() ? TraceOutcome::kUnknown
+                                : TraceOutcome::kCacheHit;
+    for (TraceOutcome o : outcomes) {
+      if (static_cast<uint8_t>(o) > static_cast<uint8_t>(outcome_)) {
+        outcome_ = o;
+      }
+    }
+    target_outcomes_ = std::move(outcomes);
+  }
+
+  /// Query latency + outcome counters, the class's SLO sample, the trace
+  /// (sink and slow-query log).
+  void EmitQueryObs(TraceOutcome outcome) {
+    const double ms = timer_.ElapsedMs();
+    db_->obs_query_ms_->Record(ms);
+    db_->obs_outcomes_[size_t(outcome)]->Inc();
+    db_->slo_.Record(slo_class_, ms, outcome == TraceOutcome::kError);
+    if (!trace_) return;
+    trace_->SetOutcome(outcome);
+    trace_->SetTotalMs(ms);
+    if (db_->trace_sink_ != nullptr) db_->trace_sink_->OnQueryTrace(*trace_);
+    if (db_->slow_log_.enabled() && db_->slow_log_.ShouldCapture(ms)) {
+      db_->slow_log_.Capture(*trace_, ms, &db_->flight_);
+    }
+  }
+
+  StatisticalDbms* db_;
+  // First member after db_: the context stays installed until every
+  // other member (and the destructor body's commit) is done with it.
+  causal::ScopedTraceContext ctx_{causal::Mint()};
+  TraceTimer timer_;
+  std::optional<QueryTrace> trace_;
+  const char* slo_class_;
+  const std::string& view_;
+  std::vector<Target> targets_;
+  std::string commit_hint_;
+  bool ok_ = false;
+  TraceOutcome outcome_ = TraceOutcome::kError;
+  std::vector<TraceOutcome> target_outcomes_;
+};
+
 Result<QueryAnswer> StatisticalDbms::Query(const std::string& view,
                                            const std::string& function,
                                            const std::string& attribute,
                                            const FunctionParams& params,
                                            const QueryOptions& opts) {
-  causal::ScopedTraceContext scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("query", view, function, attribute);
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  if (flight_.enabled()) {
-    flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                   QueryLabel(view, function, attribute));
-  }
-  Result<QueryAnswer> r =
-      QueryImpl(view, function, attribute, params, opts, tr);
-  TraceOutcome outcome = r.ok() ? OutcomeOfSource(r.value().source)
-                                : TraceOutcome::kError;
-  EmitQueryObs(timer, tr, outcome, "query");
-  NoteQueryOutcome(scope.ctx(), view, function, attribute, outcome,
-                   timer.ElapsedMs());
-  if (r.ok()) CommitAfterQuery(attribute);
-  return r;
-}
-
-Result<QueryAnswer> StatisticalDbms::QueryImpl(const std::string& view,
-                                               const std::string& function,
-                                               const std::string& attribute,
-                                               const FunctionParams& params,
-                                               const QueryOptions& opts,
-                                               QueryTrace* trace) {
-  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
-  ++state->traffic.queries;
-  ++state->traffic.attribute_accesses[attribute];
-
-  STATDB_RETURN_IF_ERROR(
-      CheckQueryable(state->view->schema(), function, attribute));
-
-  SummaryKey key{function, {attribute}, params.Encode()};
-  QueryAnswer answer;
-  STATDB_ASSIGN_OR_RETURN(
-      bool answered,
-      TryAnswerWithoutComputing(view, state, key, function, attribute,
-                                params, opts, &answer, trace));
-  if (answered) return answer;
-
-  // Compute path: flush unconditionally (even under allow_stale, which
-  // only relaxes *serves*). A maintainer armed from the current column
-  // must never later receive buffered deltas the column already
-  // reflects — that would double-apply them.
-  if (state->deltas.HasPending(attribute)) {
-    STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(view, state, attribute));
-  }
-
-  // Planner choice (DESIGN.md §14): answer from the RLE sidecar in the
-  // compressed domain when the function finishes from mergeable partials
-  // and nothing downstream needs the materialized column. Arming an
-  // incremental maintainer does (it initializes from the full column), so
-  // that combination takes the materialized path.
-  STATDB_ASSIGN_OR_RETURN(const ViewRecord* rec, mdb_.GetView(view));
-  const bool arm_maintainers =
-      opts.cache_result && rec->policy == MaintenancePolicy::kIncremental;
-  // Shared ref, not the raw pointer: a concurrent WriteCell/Append
-  // detaches the sidecar, and this scan's reference must keep the
-  // retired pages alive until it finishes.
-  const std::shared_ptr<const CompressedColumnFile> sidecar =
-      state->view->CompressedSidecarRef(attribute);
-  if (compressed_scan_enabled_ && sidecar != nullptr &&
-      IsMergeable(function) && !arm_maintainers) {
-    ColumnScanResult scan;
-    {
-      ScopedSpan span(trace, SpanKind::kCompressedScan);
-      STATDB_ASSIGN_OR_RETURN(
-          scan, ScanCompressedColumn(*sidecar,
-                                     RunKindOf(state->view->schema(),
-                                               *state->view->schema()
-                                                    .IndexOf(attribute)),
-                                     NeedsValueCounts(function),
-                                     /*pool=*/nullptr));
-      span.SetRows(sidecar->size());
-      span.SetPages(sidecar->page_count());
-    }
-    SummaryResult result;
-    {
-      ScopedSpan span(trace, SpanKind::kCompute);
-      span.SetRows(scan.desc.count);
-      STATDB_ASSIGN_OR_RETURN(result,
-                              FinishMergeable(function, params, scan));
-    }
-    obs_scan_compressed_->Inc();
-    ++state->traffic.computed;
-    if (opts.cache_result) {
-      // No maintainer to arm (excluded above), so the column data the
-      // cache tail would feed one is never needed.
-      STATDB_RETURN_IF_ERROR(
-          CacheComputedResult(view, state, key, result, {}, trace));
-    }
-    return QueryAnswer{std::move(result), AnswerSource::kComputed, true, ""};
-  }
-
-  std::vector<double> data;
-  {
-    ScopedSpan span(trace, SpanKind::kScan);
-    STATDB_ASSIGN_OR_RETURN(data,
-                            state->view->ReadNumericColumn(attribute));
-    span.SetRowsPaged(data.size(), ColumnFile::kCellsPerPage);
-  }
-  SummaryResult result;
-  {
-    ScopedSpan span(trace, SpanKind::kCompute);
-    span.SetRows(data.size());
-    STATDB_ASSIGN_OR_RETURN(result,
-                            mdb_.functions().Compute(function, data, params));
-  }
-  obs_scan_materialized_->Inc();
-  ++state->traffic.computed;
-  if (opts.cache_result) {
-    STATDB_RETURN_IF_ERROR(
-        CacheComputedResult(view, state, key, result, data, trace));
-  }
-  return QueryAnswer{std::move(result), AnswerSource::kComputed, true, ""};
+  QueryScope scope(this, "query", "query", view, function, attribute,
+                   attribute);
+  return scope.Finish(Only(Execute(
+      Plan{view, {{function, attribute, params}}, opts}, scope.trace())));
 }
 
 Result<QueryAnswer> StatisticalDbms::QueryParallel(
     const std::string& view, const std::string& function,
     const std::string& attribute, const FunctionParams& params,
     const QueryOptions& opts, size_t workers) {
-  causal::ScopedTraceContext scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("queryp", view, function, attribute);
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  if (flight_.enabled()) {
-    flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                   QueryLabel(view, function, attribute));
-  }
-  std::vector<QueryRequest> requests = {{function, attribute, params}};
-  Result<std::vector<QueryAnswer>> answers =
-      QueryManyImpl(view, requests, opts, workers, tr);
-  if (!answers.ok()) {
-    EmitQueryObs(timer, tr, TraceOutcome::kError, "query_parallel");
-    NoteQueryOutcome(scope.ctx(), view, function, attribute,
-                     TraceOutcome::kError, timer.ElapsedMs());
-    return answers.status();
-  }
-  TraceOutcome outcome = OutcomeOfSource(answers.value()[0].source);
-  EmitQueryObs(timer, tr, outcome, "query_parallel");
-  NoteQueryOutcome(scope.ctx(), view, function, attribute, outcome,
-                   timer.ElapsedMs());
-  CommitAfterQuery(attribute);
-  return std::move(answers.value()[0]);
+  QueryScope scope(this, "queryp", "query_parallel", view, function,
+                   attribute, attribute);
+  return scope.Finish(
+      Only(Execute(Plan{view, {{function, attribute, params}}, opts, workers},
+                   scope.trace())));
+}
+
+Result<std::vector<QueryAnswer>> StatisticalDbms::QueryMany(
+    const std::string& view, const std::vector<QueryRequest>& requests,
+    const QueryOptions& opts, size_t workers) {
+  QueryScope scope(this, view, requests);
+  return scope.Finish(
+      Execute(Plan{view, requests, opts, workers}, scope.trace()));
 }
 
 Result<QueryAnswer> StatisticalDbms::QueryFiltered(
     const std::string& view, const std::string& function,
     const std::string& attribute, const FilterPredicate& pred,
     const FunctionParams& params) {
-  causal::ScopedTraceContext scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("queryfiltered", view, function, attribute);
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  if (flight_.enabled()) {
-    flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                   QueryLabel(view, function, attribute));
-  }
-  Result<QueryAnswer> r =
-      QueryFilteredImpl(view, function, attribute, pred, params, tr);
-  TraceOutcome outcome =
-      r.ok() ? TraceOutcome::kComputed : TraceOutcome::kError;
-  EmitQueryObs(timer, tr, outcome, "query_filtered");
-  NoteQueryOutcome(scope.ctx(), view, function, attribute, outcome,
-                   timer.ElapsedMs());
-  return r;
+  QueryScope scope(this, "queryfiltered", "query_filtered", view, function,
+                   attribute, attribute);
+  return scope.Finish(
+      Only(Execute(Plan{view, {{function, attribute, params}}, {}, 1, pred},
+                   scope.trace())));
 }
 
-Result<QueryAnswer> StatisticalDbms::QueryFilteredImpl(
+Result<QueryAnswer> StatisticalDbms::QueryBivariate(
     const std::string& view, const std::string& function,
-    const std::string& attribute, const FilterPredicate& pred,
-    const FunctionParams& params, QueryTrace* trace) {
-  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
-  ++state->traffic.queries;
-  ++state->traffic.attribute_accesses[attribute];
-  const Schema& schema = state->view->schema();
-  STATDB_RETURN_IF_ERROR(CheckQueryable(schema, function, attribute));
-  STATDB_ASSIGN_OR_RETURN(size_t attr_idx, schema.IndexOf(attribute));
-
-  // Coerce predicate endpoints like index probes, then compare as
-  // doubles — both paths below apply the same RunPredicate semantics.
-  simd::RunPredicate rp;
-  switch (pred.kind) {
-    case FilterPredicate::Kind::kAll:
-      rp.kind = simd::RunPredicate::Kind::kAll;
-      break;
-    case FilterPredicate::Kind::kEqual: {
-      STATDB_ASSIGN_OR_RETURN(Value probe,
-                              CoerceToAttribute(schema, attribute,
-                                                pred.equal));
-      STATDB_ASSIGN_OR_RETURN(rp.equal, probe.ToDouble());
-      rp.kind = simd::RunPredicate::Kind::kEqual;
-      break;
-    }
-    case FilterPredicate::Kind::kRange: {
-      STATDB_ASSIGN_OR_RETURN(Value plo,
-                              CoerceToAttribute(schema, attribute, pred.lo));
-      STATDB_ASSIGN_OR_RETURN(Value phi,
-                              CoerceToAttribute(schema, attribute, pred.hi));
-      STATDB_ASSIGN_OR_RETURN(rp.lo, plo.ToDouble());
-      STATDB_ASSIGN_OR_RETURN(rp.hi, phi.ToDouble());
-      rp.kind = simd::RunPredicate::Kind::kRange;
-      break;
-    }
-  }
-
-  // Shared ref, not the raw pointer: a concurrent WriteCell/Append
-  // detaches the sidecar, and this scan's reference must keep the
-  // retired pages alive until it finishes.
-  const std::shared_ptr<const CompressedColumnFile> sidecar =
-      state->view->CompressedSidecarRef(attribute);
-  if (compressed_scan_enabled_ && sidecar != nullptr &&
-      IsMergeable(function)) {
-    // Pushdown: predicate decided once per run, no row materialized.
-    FilteredScanResult filtered;
-    {
-      ScopedSpan span(trace, SpanKind::kCompressedScan);
-      STATDB_ASSIGN_OR_RETURN(
-          filtered,
-          ScanCompressedFiltered(*sidecar, RunKindOf(schema, attr_idx), rp,
-                                 NeedsValueCounts(function),
-                                 /*pool=*/nullptr));
-      span.SetRows(filtered.rows);
-      span.SetPages(sidecar->page_count());
-    }
-    ColumnScanResult scan;
-    scan.desc = filtered.desc;
-    scan.counts = std::move(filtered.counts);
-    SummaryResult result;
-    {
-      ScopedSpan span(trace, SpanKind::kCompute);
-      span.SetRows(scan.desc.count);
-      STATDB_ASSIGN_OR_RETURN(result,
-                              FinishMergeable(function, params, scan));
-    }
-    obs_scan_compressed_->Inc();
-    ++state->traffic.computed;
-    return QueryAnswer{std::move(result), AnswerSource::kComputed, true,
-                       "compressed-domain pushdown"};
-  }
-
-  // Filter-then-materialize: read the column, keep matching cells, run
-  // the registry function on the kept values.
-  std::vector<double> data;
-  {
-    ScopedSpan span(trace, SpanKind::kScan);
-    STATDB_ASSIGN_OR_RETURN(data,
-                            state->view->ReadNumericColumn(attribute));
-    span.SetRowsPaged(data.size(), ColumnFile::kCellsPerPage);
-  }
-  std::vector<double> kept;
-  kept.reserve(data.size());
-  for (double x : data) {
-    if (rp.Matches(x)) kept.push_back(x);
-  }
-  SummaryResult result;
-  {
-    ScopedSpan span(trace, SpanKind::kCompute);
-    span.SetRows(kept.size());
-    STATDB_ASSIGN_OR_RETURN(result,
-                            mdb_.functions().Compute(function, kept, params));
-  }
-  obs_scan_materialized_->Inc();
-  ++state->traffic.computed;
-  return QueryAnswer{std::move(result), AnswerSource::kComputed, true, ""};
+    const std::string& attr_a, const std::string& attr_b,
+    const QueryOptions& opts) {
+  QueryScope scope(this, "bivariate", "bivariate", view, function,
+                   attr_a + "," + attr_b, attr_a);
+  return scope.Finish(ExecutePair(
+      PairPlan{view, function, attr_a, attr_b, opts}, scope.trace()));
 }
 
-Result<std::vector<QueryAnswer>> StatisticalDbms::QueryMany(
-    const std::string& view, const std::vector<QueryRequest>& requests,
+Result<QueryAnswer> StatisticalDbms::QueryBivariateParallel(
+    const std::string& view, const std::string& function,
+    const std::string& attr_a, const std::string& attr_b,
     const QueryOptions& opts, size_t workers) {
-  causal::ScopedTraceContext scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("querymany", view,
-                    "[" + std::to_string(requests.size()) + " requests]",
-                    "");
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  if (flight_.enabled()) {
-    for (size_t i = 0; i < requests.size(); ++i) {
-      flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                     QueryLabel(view, requests[i].function,
-                                requests[i].attribute),
-                     static_cast<int64_t>(i));
-    }
-  }
-  Result<std::vector<QueryAnswer>> r =
-      QueryManyImpl(view, requests, opts, workers, tr);
-  EmitQueryObs(timer, tr,
-               r.ok() ? OutcomeOfBatch(r.value()) : TraceOutcome::kError,
-               "query_many");
-  // Per-request provenance for the profiler and the flight ring; the
-  // batch's wall time is split evenly (per-request time is not observable
-  // once scans are shared across requests).
-  double per_request_ms =
-      requests.empty() ? 0 : timer.ElapsedMs() / double(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    NoteQueryOutcome(scope.ctx(), view, requests[i].function,
-                     requests[i].attribute,
-                     r.ok() ? OutcomeOfSource(r.value()[i].source)
-                            : TraceOutcome::kError,
-                     per_request_ms);
-  }
-  if (r.ok()) {
-    CommitAfterQuery(requests.empty() ? "" : requests.front().attribute);
-  }
-  return r;
+  QueryScope scope(this, "bivariate", "bivariate", view, function,
+                   attr_a + "," + attr_b, attr_a);
+  return scope.Finish(ExecutePair(
+      PairPlan{view, function, attr_a, attr_b, opts, workers},
+      scope.trace()));
 }
 
-Result<std::vector<QueryAnswer>> StatisticalDbms::QueryManyImpl(
-    const std::string& view, const std::vector<QueryRequest>& requests,
-    const QueryOptions& opts, size_t workers, QueryTrace* trace) {
-  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
-  STATDB_ASSIGN_OR_RETURN(const ViewRecord* rec, mdb_.GetView(view));
-  // Incremental maintainers initialize from the full column, so the scan
-  // must gather it even when every requested statistic is mergeable.
-  const bool arm_maintainers =
-      opts.cache_result && rec->policy == MaintenancePolicy::kIncremental;
+Result<QueryAnswer> StatisticalDbms::QueryGroupCompare(
+    const std::string& view, const std::string& value_attr,
+    const std::string& category_attr, int64_t code_a, int64_t code_b,
+    const QueryOptions& opts) {
+  QueryScope scope(this, "groupcompare", "group_compare", view, "welch_t",
+                   value_attr + "," + category_attr, value_attr);
+  return scope.Finish(ExecutePair(PairPlan{view, "welch_t", value_attr,
+                                           category_attr, opts, 1, code_a,
+                                           code_b},
+                                  scope.trace()));
+}
+
+Result<SummaryResult> StatisticalDbms::ComputeOverColumn(
+    const std::string& function, const FunctionParams& params,
+    const std::vector<double>& data) const {
+  // Exactly a dop-1 scan's one chunk over the same values.
+  const bool counted = CountsInOneChunk(function);
+  ColumnScanResult scan;
+  if (IsMergeable(function)) {
+    scan = FoldColumnSpan(data.data(), data.size(), counted);
+  }
+  return FinishUnary(mdb_.functions(), function, params, scan, counted,
+                     data);
+}
+
+Result<std::vector<QueryAnswer>> StatisticalDbms::Execute(const Plan& plan,
+                                                          QueryTrace* trace) {
+  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(plan.view));
+  const ConcreteView* cv = state->view.get();
+  const std::vector<QueryRequest>& requests = plan.requests;
+  const bool filtered = plan.filter.has_value();
+  const bool cache = !filtered && plan.opts.cache_result;
 
   std::vector<QueryAnswer> answers(requests.size());
-  // Encoded key -> index of the request that owns the computation; later
-  // duplicates alias that slot instead of recomputing or re-inserting.
-  std::map<std::string, size_t> primary;
+  std::vector<SummaryKey> keys;
+  keys.reserve(requests.size());
+  // A duplicate request aliases the first one with its key instead of
+  // being recomputed or re-inserted.
   constexpr size_t kNoAlias = static_cast<size_t>(-1);
   std::vector<size_t> alias_of(requests.size(), kNoAlias);
-  // Attributes needing a scan, in first-appearance order, with the
-  // indices of the unique requests each scan must answer.
-  std::vector<std::string> attr_order;
-  std::map<std::string, std::vector<size_t>> by_attr;
+  // Attributes needing a scan, in first-appearance order, each with the
+  // requests its one scan answers.
+  struct ScanGroup {
+    std::string attribute;
+    std::vector<size_t> requests;
+  };
+  std::vector<ScanGroup> groups;
 
   for (size_t i = 0; i < requests.size(); ++i) {
     const QueryRequest& r = requests[i];
     ++state->traffic.queries;
     ++state->traffic.attribute_accesses[r.attribute];
     STATDB_RETURN_IF_ERROR(
-        CheckQueryable(state->view->schema(), r.function, r.attribute));
-    SummaryKey key{r.function, {r.attribute}, r.params.Encode()};
-    auto dup = primary.find(key.Encode());
-    if (dup != primary.end()) {
-      alias_of[i] = dup->second;
-      continue;
+        CheckQueryable(cv->schema(), r.function, r.attribute));
+    keys.push_back(SummaryKey{r.function, {r.attribute}, r.params.Encode()});
+    for (size_t j = 0; j < i && alias_of[i] == kNoAlias; ++j) {
+      if (alias_of[j] == kNoAlias && keys[j] == keys[i]) alias_of[i] = j;
     }
-    primary.emplace(key.Encode(), i);
-    STATDB_ASSIGN_OR_RETURN(
-        bool answered,
-        TryAnswerWithoutComputing(view, state, key, r.function, r.attribute,
-                                  r.params, opts, &answers[i], trace));
-    if (answered) continue;
-    if (!by_attr.contains(r.attribute)) attr_order.push_back(r.attribute);
-    by_attr[r.attribute].push_back(i);
+    if (alias_of[i] != kNoAlias) continue;
+    if (!filtered) {
+      STATDB_ASSIGN_OR_RETURN(
+          bool answered,
+          TryAnswerWithoutComputing(plan.view, state, keys[i], r.params,
+                                    plan.opts, &answers[i], trace));
+      if (answered) continue;
+    }
+    auto g = std::find_if(groups.begin(), groups.end(),
+                          [&r](const ScanGroup& s) {
+                            return s.attribute == r.attribute;
+                          });
+    if (g == groups.end()) {
+      groups.push_back({r.attribute, {}});
+      g = std::prev(groups.end());
+    }
+    g->requests.push_back(i);
   }
 
-  // Compute paths flush unconditionally (see QueryImpl): a maintainer
-  // armed from the scanned column must not see those deltas again.
-  for (const std::string& attr : attr_order) {
-    if (state->deltas.HasPending(attr)) {
-      STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(view, state, attr));
-    }
+  // Incremental maintainers initialize from the full column, so arming
+  // one makes the scan gather it even when every statistic is mergeable.
+  bool arm_maintainers = false;
+  if (cache && !groups.empty()) {
+    STATDB_ASSIGN_OR_RETURN(const ViewRecord* rec, mdb_.GetView(plan.view));
+    arm_maintainers = rec->policy == MaintenancePolicy::kIncremental;
   }
-
-  if (!attr_order.empty()) {
-    std::optional<ThreadPool> pool;
-    if (workers > 1) {
-      pool.emplace(workers);
-      pool->set_task_latency_sink(obs_pool_task_ms_);
-    }
-    for (const std::string& attr : attr_order) {
-      const std::vector<size_t>& idxs = by_attr[attr];
-      ColumnScanSpec spec;
-      for (size_t i : idxs) {
-        const std::string& fn = requests[i].function;
-        if (NeedsValueCounts(fn)) spec.want_counts = true;
-        if (!IsMergeable(fn)) spec.keep_values = true;
+  if (!filtered) {
+    // Compute paths flush unconditionally (even under allow_stale, which
+    // only relaxes *serves*): a maintainer armed from the scanned column
+    // must never later receive buffered deltas it already reflects.
+    for (const ScanGroup& g : groups) {
+      if (state->deltas.HasPending(g.attribute)) {
+        STATDB_RETURN_IF_ERROR(
+            FlushAttributeDeltas(plan.view, state, g.attribute));
       }
-      if (arm_maintainers) spec.keep_values = true;
-      spec.time_chunks = trace != nullptr;
-      const ConcreteView* cv = state->view.get();
-      // Planner choice (DESIGN.md §14): the whole attribute group goes
-      // compressed-domain when every statistic finishes from mergeable
-      // partials (no keep_values) and an RLE sidecar is attached.
-      // Shared ref: keeps the sidecar alive across the scan even if a
-      // concurrent writer detaches it (see CompressedSidecarRef).
-      const std::shared_ptr<const CompressedColumnFile> sidecar =
-          cv->CompressedSidecarRef(attr);
-      ColumnScanResult scan;
-      if (compressed_scan_enabled_ && sidecar != nullptr &&
-          !spec.keep_values) {
-        ScopedSpan span(trace, SpanKind::kCompressedScan);
+    }
+  }
+
+  // Serial is dop 1: no pool, and each scan runs inline as one chunk.
+  std::optional<ThreadPool> pool;
+  if (plan.dop > 1 && !groups.empty()) {
+    pool.emplace(plan.dop);
+    pool->set_task_latency_sink(obs_pool_task_ms_);
+  }
+  for (const ScanGroup& g : groups) {
+    const std::string& attr = g.attribute;
+    ColumnScanSpec spec;
+    for (size_t i : g.requests) {
+      if (NeedsValueCounts(requests[i].function)) spec.want_counts = true;
+      if (!IsMergeable(requests[i].function)) spec.keep_values = true;
+    }
+    if (arm_maintainers) spec.keep_values = true;
+    spec.time_chunks = trace != nullptr;
+    // The filter, coerced to the attribute's type like index probes and
+    // then compared as doubles, so both access paths decide NaN and
+    // boundary cells alike. kAll when the plan has no filter.
+    simd::RunPredicate rp;
+    if (filtered) {
+      const FilterPredicate& pred = *plan.filter;
+      auto as_double = [cv, &attr](const Value& v) -> Result<double> {
+        STATDB_ASSIGN_OR_RETURN(Value probe,
+                                CoerceToAttribute(cv->schema(), attr, v));
+        return probe.ToDouble();
+      };
+      switch (pred.kind) {
+        case FilterPredicate::Kind::kAll:
+          break;
+        case FilterPredicate::Kind::kEqual: {
+          rp.kind = simd::RunPredicate::Kind::kEqual;
+          STATDB_ASSIGN_OR_RETURN(rp.equal, as_double(pred.equal));
+          break;
+        }
+        case FilterPredicate::Kind::kRange: {
+          rp.kind = simd::RunPredicate::Kind::kRange;
+          STATDB_ASSIGN_OR_RETURN(rp.lo, as_double(pred.lo));
+          STATDB_ASSIGN_OR_RETURN(rp.hi, as_double(pred.hi));
+          break;
+        }
+      }
+    }
+    // Access path (DESIGN.md §14): the attribute's group answers from its
+    // RLE sidecar in the compressed domain when every statistic finishes
+    // from mergeable partials. Shared ref: keeps the sidecar alive across
+    // the scan even if a concurrent writer detaches it.
+    const std::shared_ptr<const CompressedColumnFile> sidecar =
+        cv->CompressedSidecarRef(attr);
+    const bool compressed =
+        compressed_scan_enabled_ && sidecar != nullptr && !spec.keep_values;
+    if (!compressed && !pool) {
+      // One chunk: its buffer is the whole column, so keeping it is free,
+      // and value counts are built only where they pay (CountsInOneChunk).
+      spec.keep_values = true;
+      spec.want_counts = std::any_of(
+          g.requests.begin(), g.requests.end(), [&requests](size_t i) {
+            return CountsInOneChunk(requests[i].function);
+          });
+    }
+    ColumnScanResult scan;
+    if (compressed) {
+      ScopedSpan span(trace, SpanKind::kCompressedScan);
+      const simd::RunValueKind kind =
+          RunKindOf(cv->schema(), *cv->schema().IndexOf(attr));
+      if (filtered) {
+        // Pushdown: predicate decided once per run, no row materialized.
         STATDB_ASSIGN_OR_RETURN(
-            scan, ScanCompressedColumn(
-                      *sidecar,
-                      RunKindOf(cv->schema(), *cv->schema().IndexOf(attr)),
-                      spec.want_counts, pool ? &*pool : nullptr));
-        span.SetRows(sidecar->size());
-        span.SetPages(sidecar->page_count());
-        obs_scan_compressed_->Inc();
+            FilteredScanResult f,
+            ScanCompressedFiltered(*sidecar, kind, rp, spec.want_counts,
+                                   pool ? &*pool : nullptr));
+        span.SetRows(f.rows);
+        scan.desc = f.desc;
+        scan.counts = std::move(f.counts);
       } else {
-        ColumnRangeReader reader = [cv, attr](uint64_t begin, uint64_t end) {
-          return cv->ReadNumericRange(attr, begin, end);
-        };
-        {
-          ScopedSpan span(trace, SpanKind::kScan);
-          STATDB_ASSIGN_OR_RETURN(
-              scan,
-              ParallelScanColumn(cv->num_rows(), ColumnFile::kCellsPerPage,
-                                 reader, spec, pool ? &*pool : nullptr));
-          span.SetRowsPaged(scan.desc.count, ColumnFile::kCellsPerPage);
+        STATDB_ASSIGN_OR_RETURN(
+            scan, ScanCompressedColumn(*sidecar, kind, spec.want_counts,
+                                       pool ? &*pool : nullptr));
+        span.SetRows(sidecar->size());
+      }
+      span.SetPages(sidecar->page_count());
+      obs_scan_compressed_->Inc();
+    } else {
+      // Materialized: page-aligned chunks of the decoded column, each
+      // keeping only the cells the filter matches.
+      ColumnRangeReader reader =
+          [cv, &attr, &rp](uint64_t begin,
+                           uint64_t end) -> Result<std::vector<double>> {
+        STATDB_ASSIGN_OR_RETURN(std::vector<double> cells,
+                                cv->ReadNumericRange(attr, begin, end));
+        if (rp.kind != simd::RunPredicate::Kind::kAll) {
+          std::erase_if(cells, [&rp](double x) { return !rp.Matches(x); });
         }
-        obs_scan_materialized_->Inc();
-        if (trace != nullptr) {
-          for (size_t c = 0; c < scan.chunk_stats.size(); ++c) {
-            const ChunkScanStat& cs = scan.chunk_stats[c];
-            trace->Add(SpanKind::kScanChunk, cs.wall_ms, cs.rows,
-                       PagesOf(cs.rows), int32_t(c));
-          }
+        return cells;
+      };
+      {
+        ScopedSpan span(trace, SpanKind::kScan);
+        STATDB_ASSIGN_OR_RETURN(
+            scan, ParallelScanColumn(cv->num_rows(), ColumnFile::kCellsPerPage,
+                                     reader, spec, pool ? &*pool : nullptr));
+        span.SetRowsPaged(scan.desc.count, ColumnFile::kCellsPerPage);
+      }
+      obs_scan_materialized_->Inc();
+      if (trace != nullptr) {
+        for (size_t c = 0; c < scan.chunk_stats.size(); ++c) {
+          const ChunkScanStat& cs = scan.chunk_stats[c];
+          trace->Add(SpanKind::kScanChunk, cs.wall_ms, cs.rows,
+                     PagesOf(cs.rows), int32_t(c));
         }
       }
-      for (size_t i : idxs) {
-        const QueryRequest& r = requests[i];
-        SummaryResult result;
-        {
-          ScopedSpan span(trace, SpanKind::kCompute);
-          span.SetRows(scan.desc.count);
-          if (IsMergeable(r.function)) {
-            STATDB_ASSIGN_OR_RETURN(
-                result, FinishMergeable(r.function, r.params, scan));
-          } else {
-            // Order-dependent / unregistered functions run the serial
-            // computation on the gathered column (bit-identical to the
-            // serial read, so their answers are bit-identical too).
-            STATDB_ASSIGN_OR_RETURN(
-                result,
-                mdb_.functions().Compute(r.function, scan.values, r.params));
-          }
-        }
-        ++state->traffic.computed;
-        if (opts.cache_result) {
-          SummaryKey key{r.function, {r.attribute}, r.params.Encode()};
-          STATDB_RETURN_IF_ERROR(CacheComputedResult(view, state, key,
-                                                     result, scan.values,
-                                                     trace));
-        }
-        answers[i] = QueryAnswer{std::move(result), AnswerSource::kComputed,
-                                 true, ""};
+    }
+    for (size_t i : g.requests) {
+      const QueryRequest& r = requests[i];
+      SummaryResult result;
+      {
+        ScopedSpan span(trace, SpanKind::kCompute);
+        span.SetRows(scan.desc.count);
+        STATDB_ASSIGN_OR_RETURN(
+            result, FinishUnary(mdb_.functions(), r.function, r.params, scan,
+                                spec.want_counts, scan.values));
       }
+      ++state->traffic.computed;
+      if (cache) {
+        STATDB_RETURN_IF_ERROR(CacheComputedResult(
+            plan.view, state, keys[i], result, scan.values, trace));
+      }
+      answers[i] = QueryAnswer{
+          std::move(result), AnswerSource::kComputed, true,
+          filtered && compressed ? "compressed-domain pushdown" : ""};
     }
-    if (pool) {
-      // The scans joined at their barriers, but a worker bumps `executed`
-      // only after the task's future resolves — Quiesce() joins the
-      // workers so the counters are exact before folding.
-      pool->Quiesce();
-      FoldPoolStats(*pool);
-    }
+  }
+  if (pool) {
+    // The scans joined at their barriers, but a worker bumps `executed`
+    // only after the task's future resolves — Quiesce() joins the
+    // workers so the counters are exact before folding.
+    pool->Quiesce();
+    FoldPoolStats(*pool);
   }
 
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -1140,392 +1135,144 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::QueryManyImpl(
   return answers;
 }
 
-Result<QueryAnswer> StatisticalDbms::QueryBivariateParallel(
-    const std::string& view, const std::string& function,
-    const std::string& attr_a, const std::string& attr_b,
-    const QueryOptions& opts, size_t workers) {
-  if (function == "crosstab" || function == "chi2_independence") {
-    // Contingency tables carry no mergeable partial state here; forward
-    // *before* recording anything so the serial wrapper owns the whole
-    // begin/end pair — the forwarding path must never emit a second
-    // begin (or an unmatched one, the bug this comment memorializes).
-    return QueryBivariate(view, function, attr_a, attr_b, opts);
+Result<QueryAnswer> StatisticalDbms::ExecutePair(const PairPlan& plan,
+                                                 QueryTrace* trace) {
+  const std::string& fn = plan.function;
+  const bool comoment =
+      fn == "correlation" || fn == "covariance" || fn == "regression";
+  const bool contingency = fn == "crosstab" || fn == "chi2_independence";
+  if (!comoment && !contingency && fn != "welch_t") {
+    return InvalidArgumentError("unknown bivariate function " + fn);
   }
-  causal::ScopedTraceContext scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("bivariate", view, function, attr_a + "," + attr_b);
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  if (flight_.enabled()) {
-    flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                   QueryLabel(view, function, attr_a + "," + attr_b));
-  }
-  Result<QueryAnswer> r =
-      QueryBivariateParallelImpl(view, function, attr_a, attr_b, opts,
-                                 workers, tr);
-  TraceOutcome outcome = r.ok() ? OutcomeOfSource(r.value().source)
-                                : TraceOutcome::kError;
-  EmitQueryObs(timer, tr, outcome, "bivariate");
-  NoteQueryOutcome(scope.ctx(), view, function, attr_a + "," + attr_b,
-                   outcome, timer.ElapsedMs());
-  return r;
-}
-
-Result<QueryAnswer> StatisticalDbms::QueryBivariateParallelImpl(
-    const std::string& view, const std::string& function,
-    const std::string& attr_a, const std::string& attr_b,
-    const QueryOptions& opts, size_t workers, QueryTrace* trace) {
-  if (function != "correlation" && function != "covariance" &&
-      function != "regression") {
-    return InvalidArgumentError("unknown bivariate function " + function);
-  }
-  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
+  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(plan.view));
   ++state->traffic.queries;
-  ++state->traffic.attribute_accesses[attr_a];
-  ++state->traffic.attribute_accesses[attr_b];
-  SummaryKey key{function, {attr_a, attr_b}, ""};
-
-  // Flush barrier: a cached bivariate entry may have pending deltas on
-  // either side; fresh serves must observe the post-flush summary.
-  if (!opts.allow_stale) {
-    for (const std::string* attr : {&attr_a, &attr_b}) {
-      if (state->deltas.HasPending(*attr)) {
-        STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(view, state, *attr));
-      }
-    }
+  ++state->traffic.attribute_accesses[plan.attr_a];
+  ++state->traffic.attribute_accesses[plan.attr_b];
+  FunctionParams params;
+  if (fn == "welch_t") {
+    params.Set("a", double(plan.code_a)).Set("b", double(plan.code_b));
   }
-
-  Result<SummaryEntry> cached = [&] {
-    ScopedSpan span(trace, SpanKind::kCacheProbe);
-    return state->summary->Lookup(key);
-  }();
-  if (cached.ok() && !cached.value().stale) {
-    ++state->traffic.cache_hits;
-    return QueryAnswer{cached.value().result, AnswerSource::kCacheHit, true,
-                       ""};
-  }
-  if (cached.ok() && cached.value().stale) {
-    ScopedSpan span(trace, SpanKind::kStalenessGate);
-    if (opts.allow_stale ||
-        (opts.max_version_lag > 0 &&
-         state->view->version() - cached.value().view_version <=
-             opts.max_version_lag)) {
-      ++state->traffic.stale_hits;
-      state->summary->NoteServedStale();
-      return QueryAnswer{cached.value().result, AnswerSource::kStaleCacheHit,
-                         false, "stale cached value"};
-    }
-  }
-
-  // Compute paths flush unconditionally (even under allow_stale): the
-  // comoment maintainer armed below is seeded from the scanned pairs and
-  // must never see those buffered deltas again.
-  for (const std::string* attr : {&attr_a, &attr_b}) {
+  // A multi-attribute key: updates to either attribute reach the entry
+  // through its reference record.
+  SummaryKey key{fn, {plan.attr_a, plan.attr_b}, params.Encode()};
+  QueryAnswer answer;
+  STATDB_ASSIGN_OR_RETURN(
+      bool answered, TryAnswerWithoutComputing(plan.view, state, key, params,
+                                               plan.opts, &answer, trace));
+  if (answered) return answer;
+  // Compute paths flush unconditionally (see Execute): the comoment
+  // maintainer armed below is seeded from the scanned pairs.
+  for (const std::string* attr : {&plan.attr_a, &plan.attr_b}) {
     if (state->deltas.HasPending(*attr)) {
-      STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(view, state, *attr));
+      STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(plan.view, state, *attr));
     }
   }
 
   const ConcreteView* cv = state->view.get();
-  PairRangeReader reader = [cv, attr_a, attr_b](
-                               uint64_t begin, uint64_t end,
-                               std::vector<double>* xs,
-                               std::vector<double>* ys) {
-    return cv->ReadNumericPairsRange(attr_a, attr_b, begin, end, xs, ys);
-  };
-  std::optional<ThreadPool> pool;
-  if (workers > 1) {
-    pool.emplace(workers);
-    pool->set_task_latency_sink(obs_pool_task_ms_);
-  }
-  ComomentStats cs;
-  {
-    ScopedSpan span(trace, SpanKind::kScan);
-    STATDB_ASSIGN_OR_RETURN(
-        cs,
-        ParallelScanPairs(cv->num_rows(), ColumnFile::kCellsPerPage, reader,
-                          pool ? &*pool : nullptr));
-    // Two columns read per row-pair: twice the pages of one column.
-    span.SetRows(cs.n);
-    span.SetPages(2 * PagesOf(cv->num_rows()));
-  }
   SummaryResult result;
-  {
+  std::optional<ComomentStats> cs;
+  if (comoment) {
+    // Co-moment partials per page-aligned chunk, merged in chunk order
+    // at the barrier (one inline chunk at dop 1). Pairs with either cell
+    // missing are dropped (pairwise deletion).
+    PairRangeReader reader = [cv, &plan](uint64_t begin, uint64_t end,
+                                         std::vector<double>* xs,
+                                         std::vector<double>* ys) {
+      return cv->ReadNumericPairsRange(plan.attr_a, plan.attr_b, begin, end,
+                                       xs, ys);
+    };
+    std::optional<ThreadPool> pool;
+    if (plan.dop > 1) {
+      pool.emplace(plan.dop);
+      pool->set_task_latency_sink(obs_pool_task_ms_);
+    }
+    {
+      ScopedSpan span(trace, SpanKind::kScan);
+      STATDB_ASSIGN_OR_RETURN(
+          cs, ParallelScanPairs(cv->num_rows(), ColumnFile::kCellsPerPage,
+                                reader, pool ? &*pool : nullptr));
+      // Two columns read per row-pair: twice the pages of one column.
+      span.SetRows(cs->n);
+      span.SetPages(2 * PagesOf(cv->num_rows()));
+    }
+    if (pool) {
+      pool->Quiesce();  // join workers so `executed` is exact
+      FoldPoolStats(*pool);
+    }
     ScopedSpan span(trace, SpanKind::kCompute);
-    span.SetRows(cs.n);
-    if (function == "correlation") {
-      STATDB_ASSIGN_OR_RETURN(double r, cs.PearsonR());
+    span.SetRows(cs->n);
+    if (fn == "correlation") {
+      STATDB_ASSIGN_OR_RETURN(double r, cs->PearsonR());
       result = SummaryResult::Scalar(r);
-    } else if (function == "covariance") {
-      STATDB_ASSIGN_OR_RETURN(double c, cs.Covariance());
+    } else if (fn == "covariance") {
+      STATDB_ASSIGN_OR_RETURN(double c, cs->Covariance());
       result = SummaryResult::Scalar(c);
     } else {
-      STATDB_ASSIGN_OR_RETURN(LinearFit fit, cs.Fit());
+      STATDB_ASSIGN_OR_RETURN(LinearFit fit, cs->Fit());
       result = SummaryResult::Model(fit);
-    }
-  }
-  ++state->traffic.computed;
-  if (opts.cache_result) {
-    ScopedSpan span(trace, SpanKind::kSummaryInsert);
-    STATDB_RETURN_IF_ERROR(
-        state->summary->Insert(key, result, state->view->version()));
-    if (delta::ArmComomentMaintainer(key, cs, &state->comaintainers) &&
-        flight_.enabled()) {
-      flight_.Record(causal::Current(), FlightEventKind::kMaintainerArm,
-                     QueryLabel(view, function, attr_a + "," + attr_b), 0,
-                     int64_t(cs.n));
-    }
-  }
-  if (pool) {
-    pool->Quiesce();  // join workers so `executed` is exact
-    FoldPoolStats(*pool);
-  }
-  return QueryAnswer{std::move(result), AnswerSource::kComputed, true, ""};
-}
-
-Result<QueryAnswer> StatisticalDbms::QueryBivariate(
-    const std::string& view, const std::string& function,
-    const std::string& attr_a, const std::string& attr_b,
-    const QueryOptions& opts) {
-  // Full wrapper (begin/end pairing regression fix): this entry point
-  // used to bypass the flight recorder and EmitQueryObs entirely, so a
-  // crosstab forwarded from QueryBivariateParallel left no events and
-  // no outcome counter at all.
-  causal::ScopedTraceContext scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("bivariate", view, function, attr_a + "," + attr_b);
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  if (flight_.enabled()) {
-    flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                   QueryLabel(view, function, attr_a + "," + attr_b));
-  }
-  Result<QueryAnswer> r =
-      QueryBivariateImpl(view, function, attr_a, attr_b, opts, tr);
-  TraceOutcome outcome = r.ok() ? OutcomeOfSource(r.value().source)
-                                : TraceOutcome::kError;
-  EmitQueryObs(timer, tr, outcome, "bivariate");
-  NoteQueryOutcome(scope.ctx(), view, function, attr_a + "," + attr_b,
-                   outcome, timer.ElapsedMs());
-  if (r.ok()) CommitAfterQuery(attr_a);
-  return r;
-}
-
-Result<QueryAnswer> StatisticalDbms::QueryBivariateImpl(
-    const std::string& view, const std::string& function,
-    const std::string& attr_a, const std::string& attr_b,
-    const QueryOptions& opts, QueryTrace* trace) {
-  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
-  ++state->traffic.queries;
-  ++state->traffic.attribute_accesses[attr_a];
-  ++state->traffic.attribute_accesses[attr_b];
-  SummaryKey key{function, {attr_a, attr_b}, ""};
-
-  // Flush barrier, as in QueryBivariateParallelImpl.
-  if (!opts.allow_stale) {
-    for (const std::string* attr : {&attr_a, &attr_b}) {
-      if (state->deltas.HasPending(*attr)) {
-        STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(view, state, *attr));
-      }
-    }
-  }
-
-  Result<SummaryEntry> cached = [&] {
-    ScopedSpan span(trace, SpanKind::kCacheProbe);
-    return state->summary->Lookup(key);
-  }();
-  if (cached.ok() && !cached.value().stale) {
-    ++state->traffic.cache_hits;
-    return QueryAnswer{cached.value().result, AnswerSource::kCacheHit, true,
-                       ""};
-  }
-  if (cached.ok() && cached.value().stale &&
-      (opts.allow_stale ||
-       (opts.max_version_lag > 0 &&
-        state->view->version() - cached.value().view_version <=
-            opts.max_version_lag))) {
-    ++state->traffic.stale_hits;
-    state->summary->NoteServedStale();
-    return QueryAnswer{cached.value().result, AnswerSource::kStaleCacheHit,
-                       false, "stale cached value"};
-  }
-
-  // Compute paths flush unconditionally (see QueryBivariateParallelImpl).
-  for (const std::string* attr : {&attr_a, &attr_b}) {
-    if (state->deltas.HasPending(*attr)) {
-      STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(view, state, *attr));
-    }
-  }
-
-  // Row-aligned read of both columns (pairs with either cell missing are
-  // dropped — pairwise deletion).
-  std::vector<Value> va;
-  std::vector<Value> vb;
-  {
-    ScopedSpan span(trace, SpanKind::kScan);
-    STATDB_ASSIGN_OR_RETURN(va, state->view->ReadColumn(attr_a));
-    STATDB_ASSIGN_OR_RETURN(vb, state->view->ReadColumn(attr_b));
-    span.SetRowsPaged(2 * va.size(), ColumnFile::kCellsPerPage);
-  }
-  SummaryResult result;
-  std::optional<ComomentStats> cs_seed;
-  if (function == "correlation" || function == "covariance" ||
-      function == "regression") {
-    std::vector<double> xs, ys;
-    for (size_t i = 0; i < va.size(); ++i) {
-      if (va[i].is_null() || vb[i].is_null()) continue;
-      Result<double> x = va[i].ToDouble();
-      Result<double> y = vb[i].ToDouble();
-      if (!x.ok() || !y.ok()) continue;
-      xs.push_back(x.value());
-      ys.push_back(y.value());
-    }
-    cs_seed = ComputeComoments(xs, ys);
-    if (function == "correlation") {
-      STATDB_ASSIGN_OR_RETURN(double r, PearsonR(xs, ys));
-      result = SummaryResult::Scalar(r);
-    } else if (function == "covariance") {
-      STATDB_ASSIGN_OR_RETURN(double c, Covariance(xs, ys));
-      result = SummaryResult::Scalar(c);
-    } else {
-      STATDB_ASSIGN_OR_RETURN(LinearFit fit, FitLinear(xs, ys));
-      result = SummaryResult::Model(fit);
-    }
-  } else if (function == "crosstab" || function == "chi2_independence") {
-    Table pair{Schema({Attribute::Category(attr_a, DataType::kInt64),
-                       Attribute::Category(attr_b, DataType::kInt64)})};
-    for (size_t i = 0; i < va.size(); ++i) {
-      // Category cells are int-coded in views; keep whatever they are.
-      Row row = {va[i], vb[i]};
-      Status s = pair.AppendRow(std::move(row));
-      if (!s.ok()) {
-        return InvalidArgumentError(
-            "bivariate cross-tab needs integer-coded attributes");
-      }
-    }
-    STATDB_ASSIGN_OR_RETURN(CrossTab ct,
-                            BuildCrossTab(pair, attr_a, attr_b));
-    if (function == "crosstab") {
-      result = SummaryResult::Contingency(std::move(ct));
-    } else {
-      STATDB_ASSIGN_OR_RETURN(TestResult tr, ChiSquaredIndependence(ct));
-      result = SummaryResult::Vector({tr.statistic, tr.dof, tr.p_value});
     }
   } else {
-    return InvalidArgumentError("unknown bivariate function " + function);
+    // Contingency tables and group splits have no mergeable partial state
+    // here: read both columns row-aligned.
+    std::vector<Value> va;
+    std::vector<Value> vb;
+    {
+      ScopedSpan span(trace, SpanKind::kScan);
+      STATDB_ASSIGN_OR_RETURN(va, state->view->ReadColumn(plan.attr_a));
+      STATDB_ASSIGN_OR_RETURN(vb, state->view->ReadColumn(plan.attr_b));
+      span.SetRowsPaged(2 * va.size(), ColumnFile::kCellsPerPage);
+    }
+    ScopedSpan span(trace, SpanKind::kCompute);
+    if (contingency) {
+      Table pair{Schema({Attribute::Category(plan.attr_a, DataType::kInt64),
+                         Attribute::Category(plan.attr_b, DataType::kInt64)})};
+      for (size_t i = 0; i < va.size(); ++i) {
+        // Category cells are int-coded in views; keep whatever they are.
+        Row row = {va[i], vb[i]};
+        Status s = pair.AppendRow(std::move(row));
+        if (!s.ok()) {
+          return InvalidArgumentError(
+              "bivariate cross-tab needs integer-coded attributes");
+        }
+      }
+      STATDB_ASSIGN_OR_RETURN(CrossTab ct,
+                              BuildCrossTab(pair, plan.attr_a, plan.attr_b));
+      span.SetRows(va.size());
+      if (fn == "crosstab") {
+        result = SummaryResult::Contingency(std::move(ct));
+      } else {
+        STATDB_ASSIGN_OR_RETURN(TestResult tr, ChiSquaredIndependence(ct));
+        result = SummaryResult::Vector({tr.statistic, tr.dof, tr.p_value});
+      }
+    } else {
+      // welch_t: attr_a's values split by attr_b's code.
+      std::vector<double> group_a, group_b;
+      for (size_t i = 0; i < va.size(); ++i) {
+        if (va[i].is_null() || vb[i].is_null()) continue;
+        Result<double> v = va[i].ToDouble();
+        Result<int64_t> code = vb[i].ToInt();
+        if (!v.ok() || !code.ok()) continue;
+        if (*code == plan.code_a) group_a.push_back(*v);
+        if (*code == plan.code_b) group_b.push_back(*v);
+      }
+      span.SetRows(group_a.size() + group_b.size());
+      STATDB_ASSIGN_OR_RETURN(TestResult tr, WelchTTest(group_a, group_b));
+      result = SummaryResult::Vector({tr.statistic, tr.dof, tr.p_value});
+    }
   }
   ++state->traffic.computed;
-  if (opts.cache_result) {
+  if (plan.opts.cache_result) {
     ScopedSpan span(trace, SpanKind::kSummaryInsert);
     STATDB_RETURN_IF_ERROR(
         state->summary->Insert(key, result, state->view->version()));
-    if (cs_seed.has_value() &&
-        delta::ArmComomentMaintainer(key, *cs_seed,
-                                     &state->comaintainers) &&
+    if (cs.has_value() &&
+        delta::ArmComomentMaintainer(key, *cs, &state->comaintainers) &&
         flight_.enabled()) {
       flight_.Record(causal::Current(), FlightEventKind::kMaintainerArm,
-                     QueryLabel(view, function, attr_a + "," + attr_b), 0,
-                     int64_t(cs_seed->n));
+                     QueryLabel(plan.view, fn,
+                                plan.attr_a + "," + plan.attr_b),
+                     0, int64_t(cs->n));
     }
-  }
-  return QueryAnswer{std::move(result), AnswerSource::kComputed, true, ""};
-}
-
-Result<QueryAnswer> StatisticalDbms::QueryGroupCompare(
-    const std::string& view, const std::string& value_attr,
-    const std::string& category_attr, int64_t code_a, int64_t code_b,
-    const QueryOptions& opts) {
-  // Full wrapper, same pairing contract (and regression fix) as
-  // QueryBivariate.
-  causal::ScopedTraceContext scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("groupcompare", view, "welch_t",
-                    value_attr + "," + category_attr);
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  if (flight_.enabled()) {
-    flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                   QueryLabel(view, "welch_t",
-                              value_attr + "," + category_attr));
-  }
-  Result<QueryAnswer> r = QueryGroupCompareImpl(
-      view, value_attr, category_attr, code_a, code_b, opts, tr);
-  TraceOutcome outcome = r.ok() ? OutcomeOfSource(r.value().source)
-                                : TraceOutcome::kError;
-  EmitQueryObs(timer, tr, outcome, "group_compare");
-  NoteQueryOutcome(scope.ctx(), view, "welch_t",
-                   value_attr + "," + category_attr, outcome,
-                   timer.ElapsedMs());
-  if (r.ok()) CommitAfterQuery(value_attr);
-  return r;
-}
-
-Result<QueryAnswer> StatisticalDbms::QueryGroupCompareImpl(
-    const std::string& view, const std::string& value_attr,
-    const std::string& category_attr, int64_t code_a, int64_t code_b,
-    const QueryOptions& opts, QueryTrace* trace) {
-  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
-  ++state->traffic.queries;
-  ++state->traffic.attribute_accesses[value_attr];
-  ++state->traffic.attribute_accesses[category_attr];
-  FunctionParams params;
-  params.Set("a", double(code_a)).Set("b", double(code_b));
-  SummaryKey key{"welch_t", {value_attr, category_attr}, params.Encode()};
-
-  Result<SummaryEntry> cached = [&] {
-    ScopedSpan span(trace, SpanKind::kCacheProbe);
-    return state->summary->Lookup(key);
-  }();
-  if (cached.ok() && !cached.value().stale) {
-    ++state->traffic.cache_hits;
-    return QueryAnswer{cached.value().result, AnswerSource::kCacheHit, true,
-                       ""};
-  }
-
-  std::vector<Value> values;
-  std::vector<Value> codes;
-  {
-    ScopedSpan span(trace, SpanKind::kScan);
-    STATDB_ASSIGN_OR_RETURN(values, state->view->ReadColumn(value_attr));
-    STATDB_ASSIGN_OR_RETURN(codes, state->view->ReadColumn(category_attr));
-    span.SetRowsPaged(2 * values.size(), ColumnFile::kCellsPerPage);
-  }
-  std::vector<double> group_a, group_b;
-  SummaryResult result;
-  {
-    ScopedSpan span(trace, SpanKind::kCompute);
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (values[i].is_null() || codes[i].is_null()) continue;
-      Result<int64_t> code = codes[i].ToInt();
-      Result<double> v = values[i].ToDouble();
-      if (!code.ok() || !v.ok()) continue;
-      if (*code == code_a) group_a.push_back(*v);
-      if (*code == code_b) group_b.push_back(*v);
-    }
-    span.SetRows(group_a.size() + group_b.size());
-    STATDB_ASSIGN_OR_RETURN(TestResult tr, WelchTTest(group_a, group_b));
-    result = SummaryResult::Vector({tr.statistic, tr.dof, tr.p_value});
-  }
-  ++state->traffic.computed;
-  if (opts.cache_result) {
-    ScopedSpan span(trace, SpanKind::kSummaryInsert);
-    STATDB_RETURN_IF_ERROR(
-        state->summary->Insert(key, result, state->view->version()));
   }
   return QueryAnswer{std::move(result), AnswerSource::kComputed, true, ""};
 }

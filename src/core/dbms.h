@@ -206,16 +206,16 @@ class StatisticalDbms {
                             const FunctionParams& params = {},
                             const QueryOptions& opts = {});
 
-  /// Parallel variant of Query: the column is split into page-aligned
-  /// chunks scanned by `workers` threads, whose mergeable partial states
-  /// (Welford moments, min/max, per-shard value counts, frozen-edge
-  /// histograms) are combined at the join barrier. Cache consultation,
-  /// staleness policy, inference and result caching behave exactly like
-  /// Query; count/min/max answers are bit-identical to the serial path
-  /// and floating-point accumulations agree to rounding. Order-dependent
-  /// functions (median, quantiles, ...) gather the column shard-parallel
-  /// and finish sequentially on the identical value sequence, so their
-  /// answers are bit-identical too.
+  /// Query at `workers` degrees of parallelism (Query is the same
+  /// pipeline at dop 1): the column is split into page-aligned chunks
+  /// scanned by `workers` threads, whose mergeable partial states (span
+  /// kernel moments, min/max, per-shard value counts) are combined at the
+  /// join barrier. Cache consultation, staleness policy, inference and
+  /// result caching are Query's; count/min/max answers are bit-identical
+  /// to Query's and floating-point moments agree to rounding (the merge
+  /// order differs). Order-dependent functions (median, quantiles, ...)
+  /// gather the column shard-parallel and finish sequentially on the
+  /// identical value sequence, so their answers are bit-identical too.
   Result<QueryAnswer> QueryParallel(const std::string& view,
                                     const std::string& function,
                                     const std::string& attribute,
@@ -228,19 +228,20 @@ class StatisticalDbms {
   /// the rest are grouped by attribute and each attribute is scanned
   /// ONCE in parallel, every requested statistic finishing from the same
   /// merged partial states. Computed results are inserted into the
-  /// Summary Database exactly as serial Query would insert them (same
-  /// keys, versions, incremental-maintainer arming). Duplicate
-  /// (function, attribute, params) requests are computed once. Fails on
-  /// the first request whose statistic is undefined (e.g. the mean of an
-  /// empty column), like the serial path would.
+  /// Summary Database exactly as Query would insert them (same keys,
+  /// versions, incremental-maintainer arming). Duplicate (function,
+  /// attribute, params) requests are computed once. Fails on the first
+  /// request whose statistic is undefined (e.g. the mean of an empty
+  /// column), like Query would.
   Result<std::vector<QueryAnswer>> QueryMany(
       const std::string& view, const std::vector<QueryRequest>& requests,
       const QueryOptions& opts = {}, size_t workers = 4);
 
-  /// Parallel bivariate statistics for "correlation", "covariance" and
-  /// "regression": per-shard co-moment states (Chan et al.) merged at
-  /// the barrier. "crosstab"/"chi2_independence" fall back to the serial
-  /// path. Caching behaves exactly like QueryBivariate.
+  /// QueryBivariate at `workers` degrees of parallelism: "correlation",
+  /// "covariance" and "regression" merge per-shard co-moment states
+  /// (Chan et al.) at the barrier; "crosstab"/"chi2_independence" have
+  /// no mergeable partials and read both columns as QueryBivariate does.
+  /// Caching behaves exactly like QueryBivariate.
   Result<QueryAnswer> QueryBivariateParallel(const std::string& view,
                                              const std::string& function,
                                              const std::string& attr_a,
@@ -455,12 +456,11 @@ class StatisticalDbms {
   /// registry (thread-pool queue depth/task latency, query latency).
   std::string DumpMetrics();
 
-  /// Attaches a per-query trace sink: every Query / QueryParallel /
-  /// QueryMany / QueryBivariateParallel call emits a QueryTrace of its
-  /// phase spans. With no sink (the default) the query paths skip all
-  /// clock reads and allocate nothing for tracing. The sink must be
-  /// thread-safe if queries run concurrently, and must outlive its
-  /// attachment. nullptr detaches.
+  /// Attaches a per-query trace sink: every public Query* call emits a
+  /// QueryTrace of its phase spans. With no sink (the default) the query
+  /// paths skip all clock reads and allocate nothing for tracing. The
+  /// sink must be thread-safe if queries run concurrently, and must
+  /// outlive its attachment. nullptr detaches.
   void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
   TraceSink* trace_sink() const { return trace_sink_; }
 
@@ -560,7 +560,30 @@ class StatisticalDbms {
                                const std::string& function,
                                const std::string& attribute);
 
+  /// The finish step of every computed single-attribute answer, over a
+  /// column already in memory: moments finish from the span kernels'
+  /// partial states, mode from hashed value counts, every other
+  /// statistic from the registry function on `data` itself. A dop-1
+  /// head query finishes its one scanned chunk through the same step, so
+  /// Session::Query over a pinned snapshot agrees with the head path bit
+  /// for bit.
+  Result<SummaryResult> ComputeOverColumn(const std::string& function,
+                                          const FunctionParams& params,
+                                          const std::vector<double>& data)
+      const;
+
  private:
+  /// RAII bracket of one public query call (dbms.cc): causal mint,
+  /// optional QueryTrace, flight begin/end, obs + SLO emission, profiler
+  /// note and the WAL commit of a successful call.
+  class QueryScope;
+  /// A single-attribute query as a value: its requests, degree of
+  /// parallelism and (QueryFiltered) row predicate. Run by Execute.
+  struct Plan;
+  /// A two-attribute query as a value (bivariate or group compare). Run
+  /// by ExecutePair.
+  struct PairPlan;
+
   struct ViewState {
     std::unique_ptr<ConcreteView> view;
     std::unique_ptr<SummaryDatabase> summary;
@@ -629,19 +652,19 @@ class StatisticalDbms {
   /// structure to its on-device pages. Replaces all current state.
   Status ApplyManifest(const std::vector<uint8_t>& manifest);
 
-  /// Cache / staleness / inference consultation shared by Query and
-  /// QueryMany. Fills `*answer` and returns true when the request is
-  /// satisfied without computation; bumps the traffic counters it
-  /// consumes. `trace` (nullable) receives cache-probe / staleness-gate /
-  /// inference spans.
-  /// Exact serves flush the attribute's pending deltas first
+  /// The one Summary-Database consultation of every query path, for
+  /// single- and multi-attribute keys alike: cache probe, staleness gate
+  /// and (single-attribute keys only) inference. Fills `*answer` and
+  /// returns true when the request is satisfied without computation;
+  /// bumps the traffic counters and records the cache-verdict flight
+  /// events it consumes. `trace` (nullable) receives cache-probe /
+  /// staleness-gate / inference spans.
+  /// Exact serves flush the key's attributes' pending deltas first
   /// (flush-before-serve, §16); allow_stale accepts the un-flushed entry
   /// the way it accepts any stale one.
   Result<bool> TryAnswerWithoutComputing(const std::string& view,
                                          ViewState* state,
                                          const SummaryKey& key,
-                                         const std::string& function,
-                                         const std::string& attribute,
                                          const FunctionParams& params,
                                          const QueryOptions& opts,
                                          QueryAnswer* answer,
@@ -657,9 +680,9 @@ class StatisticalDbms {
   Status FlushViewDeltas(const std::string& view_name, ViewState* state);
 
   /// Caches a computed result and arms an incremental maintainer when
-  /// the view's policy wants one — the common tail of the serial and
-  /// parallel compute paths. `data` is the full column (maintainer
-  /// initialization); ignored under other policies. `trace` (nullable)
+  /// the view's policy wants one — the tail of Execute's compute path.
+  /// `data` is the full column (maintainer initialization); ignored
+  /// under other policies. `trace` (nullable)
   /// receives summary-insert / maintainer-arm spans.
   Status CacheComputedResult(const std::string& view, ViewState* state,
                              const SummaryKey& key,
@@ -667,39 +690,13 @@ class StatisticalDbms {
                              const std::vector<double>& data,
                              QueryTrace* trace);
 
-  /// Bodies of the public query entry points, with tracing threaded
-  /// through. The public wrappers own trace construction, the total
-  /// timer, the latency histogram and sink emission.
-  Result<QueryAnswer> QueryImpl(const std::string& view,
-                                const std::string& function,
-                                const std::string& attribute,
-                                const FunctionParams& params,
-                                const QueryOptions& opts, QueryTrace* trace);
-  Result<std::vector<QueryAnswer>> QueryManyImpl(
-      const std::string& view, const std::vector<QueryRequest>& requests,
-      const QueryOptions& opts, size_t workers, QueryTrace* trace);
-  Result<QueryAnswer> QueryBivariateParallelImpl(
-      const std::string& view, const std::string& function,
-      const std::string& attr_a, const std::string& attr_b,
-      const QueryOptions& opts, size_t workers, QueryTrace* trace);
-  Result<QueryAnswer> QueryFilteredImpl(const std::string& view,
-                                        const std::string& function,
-                                        const std::string& attribute,
-                                        const FilterPredicate& pred,
-                                        const FunctionParams& params,
-                                        QueryTrace* trace);
-  Result<QueryAnswer> QueryBivariateImpl(const std::string& view,
-                                         const std::string& function,
-                                         const std::string& attr_a,
-                                         const std::string& attr_b,
-                                         const QueryOptions& opts,
-                                         QueryTrace* trace);
-  Result<QueryAnswer> QueryGroupCompareImpl(const std::string& view,
-                                            const std::string& value_attr,
-                                            const std::string& category_attr,
-                                            int64_t code_a, int64_t code_b,
-                                            const QueryOptions& opts,
-                                            QueryTrace* trace);
+  /// The query bodies behind every public Query* wrapper. Execute runs
+  /// single-attribute plans: consult, flush, scan each attribute once
+  /// (compressed-domain or materialized, at the plan's dop), finish,
+  /// cache. ExecutePair runs two-attribute plans the same way.
+  Result<std::vector<QueryAnswer>> Execute(const Plan& plan,
+                                           QueryTrace* trace);
+  Result<QueryAnswer> ExecutePair(const PairPlan& plan, QueryTrace* trace);
 
   /// Update/Rollback bodies; the public wrappers mint the mutation's
   /// causal context and record its SLO sample.
@@ -719,23 +716,6 @@ class StatisticalDbms {
     return trace_sink_ != nullptr || slow_log_.enabled();
   }
 
-  /// Records the query latency + outcome counters, the query class's
-  /// SLO sample, emits `trace` (if any) to the sink, and captures a
-  /// slow-log entry when the operation crossed the threshold — the
-  /// shared tail of every public query wrapper. Exactly one call per
-  /// wrapper invocation, success or error.
-  void EmitQueryObs(const TraceTimer& timer, QueryTrace* trace,
-                    TraceOutcome outcome, const std::string& query_class);
-
-  /// Feeds one finished request to the flight recorder (kQueryEnd,
-  /// stamped with `ctx`) and the workload profiler — called from the
-  /// public query wrappers with the exact view/function/attribute
-  /// strings.
-  void NoteQueryOutcome(const causal::TraceContext& ctx,
-                        const std::string& view, const std::string& function,
-                        const std::string& attribute, TraceOutcome outcome,
-                        double wall_ms);
-
   /// One named-scalar photograph of every counter the timeseries tracks:
   /// the registry snapshot plus the canonical summary.*/io.*/wal.* keys
   /// the rate derivation consumes.
@@ -748,12 +728,6 @@ class StatisticalDbms {
   /// Folds a (quiescent) pool's counters into the registry after a
   /// parallel query finishes with it.
   void FoldPoolStats(const ThreadPool& pool);
-
-  /// Full computation of function(attribute) over the view column.
-  Result<SummaryResult> ComputeOnView(ViewState* state,
-                                      const std::string& function,
-                                      const std::string& attribute,
-                                      const FunctionParams& params);
 
   /// Summary-Database upkeep after `changes` landed on `attribute`.
   Status MaintainSummaries(const std::string& view_name, ViewState* state,

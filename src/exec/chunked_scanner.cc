@@ -24,30 +24,29 @@ std::vector<ScanChunk> SplitPageAligned(uint64_t rows, size_t cells_per_page,
   return chunks;
 }
 
+ColumnScanResult FoldColumnSpan(const double* data, size_t n,
+                                bool want_counts) {
+  ColumnScanResult out;
+  // Span-batched kernel (simd/kernels.h): same count/min/max as the
+  // serial fold, moments within the documented 4-lane tolerance.
+  out.desc = simd::DescribeSpan(data, n);
+  if (want_counts) {
+    out.counts.Reserve(n);
+    for (size_t i = 0; i < n; ++i) out.counts.Add(data[i]);
+  }
+  return out;
+}
+
 namespace {
 
-/// Per-chunk accumulation shared by the worker tasks and the inline
-/// fallback path, so both produce identical partials.
-struct ChunkPartial {
-  DescriptiveStats desc;
-  ValueCounts counts;
-  std::vector<double> values;
-};
-
 Status ScanOneChunk(const ScanChunk& chunk, const ColumnRangeReader& reader,
-                    const ColumnScanSpec& spec, ChunkPartial* out,
+                    const ColumnScanSpec& spec, ColumnScanResult* out,
                     ChunkScanStat* stat) {
   std::chrono::steady_clock::time_point start;
   if (stat != nullptr) start = std::chrono::steady_clock::now();
   STATDB_ASSIGN_OR_RETURN(std::vector<double> data,
                           reader(chunk.begin, chunk.end));
-  // Span-batched kernel (simd/kernels.h): same count/min/max as the
-  // serial fold, moments within the documented 4-lane tolerance.
-  out->desc = simd::DescribeSpan(data.data(), data.size());
-  if (spec.want_counts) {
-    out->counts.Reserve(data.size());
-    for (double x : data) out->counts.Add(x);
-  }
+  *out = FoldColumnSpan(data.data(), data.size(), spec.want_counts);
   if (stat != nullptr) {
     stat->rows = data.size();
     stat->wall_ms = std::chrono::duration<double, std::milli>(
@@ -75,7 +74,7 @@ Result<ColumnScanResult> ParallelScanColumn(uint64_t rows,
 
   ColumnScanResult result;
   result.chunks = chunks.size();
-  std::vector<ChunkPartial> partials(chunks.size());
+  std::vector<ColumnScanResult> partials(chunks.size());
   if (spec.time_chunks) result.chunk_stats.resize(chunks.size());
   auto stat_of = [&result](size_t i) -> ChunkScanStat* {
     return result.chunk_stats.empty() ? nullptr : &result.chunk_stats[i];
@@ -100,9 +99,14 @@ Result<ColumnScanResult> ParallelScanColumn(uint64_t rows,
   // Barrier: merge in chunk order, so the merged state (and the
   // concatenated values) are deterministic regardless of which worker
   // finished first.
-  for (ChunkPartial& p : partials) {
-    result.desc.Merge(p.desc);
-    if (spec.keep_values) {
+  for (const ColumnScanResult& p : partials) result.desc.Merge(p.desc);
+  if (spec.keep_values && partials.size() == 1) {
+    result.values = std::move(partials.front().values);  // no copy
+  } else if (spec.keep_values) {
+    size_t total = 0;
+    for (const ColumnScanResult& p : partials) total += p.values.size();
+    result.values.reserve(total);
+    for (const ColumnScanResult& p : partials) {
       result.values.insert(result.values.end(), p.values.begin(),
                            p.values.end());
     }
@@ -119,11 +123,11 @@ Result<ColumnScanResult> ParallelScanColumn(uint64_t rows,
       for (size_t s = 0; s < ValueCounts::kShards; ++s) {
         merges.push_back([&result, &partials, s]() {
           size_t total = 0;
-          for (const ChunkPartial& p : partials) {
+          for (const ColumnScanResult& p : partials) {
             total += p.counts.shards[s].size();
           }
           result.counts.shards[s].reserve(total);
-          for (const ChunkPartial& p : partials) {
+          for (const ColumnScanResult& p : partials) {
             result.counts.MergeShard(p.counts, s);
           }
           return Status::OK();
@@ -131,7 +135,7 @@ Result<ColumnScanResult> ParallelScanColumn(uint64_t rows,
       }
       STATDB_RETURN_IF_ERROR(pool->RunAll(std::move(merges)));
     } else {
-      for (const ChunkPartial& p : partials) result.counts.Merge(p.counts);
+      for (const ColumnScanResult& p : partials) result.counts.Merge(p.counts);
     }
   }
   return result;

@@ -73,6 +73,14 @@ struct ColumnScanResult {
   std::vector<ChunkScanStat> chunk_stats;  // spec.time_chunks only
 };
 
+/// The leaf fold of every column scan: span-kernel DescriptiveStats over
+/// [data, data + n) plus, with `want_counts`, the per-value counts. Every
+/// ParallelScanColumn chunk runs exactly this, so a one-chunk (dop 1)
+/// scan and a fold of the same values held in memory agree bit for bit.
+/// `values`, `chunks` and `chunk_stats` stay empty.
+ColumnScanResult FoldColumnSpan(const double* data, size_t n,
+                                bool want_counts);
+
 /// Splits one view column into page-aligned chunks, scans them on
 /// `pool`'s workers (each folding its rows into private partial states),
 /// and merges the partials in chunk order at the join barrier. With a

@@ -23,6 +23,7 @@ double FunctionParams::GetOr(const std::string& name, double fallback) const {
 }
 
 std::string FunctionParams::Encode() const {
+  if (params_.empty()) return {};  // the common case; skips the stream
   std::ostringstream os;
   bool first = true;
   for (const auto& [name, value] : params_) {

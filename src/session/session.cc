@@ -158,10 +158,12 @@ Result<QueryAnswer> Session::Query(const std::string& view,
   }
 
   BumpRows(data->size());
+  // The head path's finish step over the pinned column itself (no copy):
+  // a computed session answer is bit-identical to a dop-1 head query on
+  // the same contents.
   STATDB_ASSIGN_OR_RETURN(
       SummaryResult result,
-      mgr_->dbms_->management_db().functions().Compute(function, *data,
-                                                       params));
+      mgr_->dbms_->ComputeOverColumn(function, params, *data));
   mgr_->timeline_.Insert(view, key, route.window_from, route.window_to,
                          result);
   RecordQueryMs(timer.ElapsedMs());
@@ -507,6 +509,12 @@ void SessionManager::EndMutation(const std::string& view, ConcreteView* live,
   mutations_.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(admission_mu_);
   mutation_in_flight_ = false;
+  // A Close() that ran while this mutation was capturing trimmed before
+  // the captures were installed; without this trim, pre-images no open
+  // session can reach would outlive the last close.
+  const uint64_t min_pinned = MinPinnedSeqLocked();
+  registry_.TrimRetired(min_pinned);
+  timeline_.Trim(min_pinned);
   admission_cv_.NotifyAll();
 }
 

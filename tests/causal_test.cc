@@ -371,6 +371,27 @@ TEST_F(CausalDbmsTest, EveryEntryPointMintsADistinctContext) {
     EXPECT_EQ(pairs[t.trace_id()].first, pairs[t.trace_id()].second)
         << t.operation();
   }
+
+  // The repeated bivariate query is a cache hit; its probe's kCacheHit
+  // event carries that query's own trace_id.
+  dbms_->set_trace_sink(&sink);
+  STATDB_ASSERT_OK(
+      dbms_->QueryBivariateParallel("v", "correlation", "AGE", "INCOME", {},
+                                    2)
+          .status());
+  dbms_->set_trace_sink(nullptr);
+  std::vector<QueryTrace> hit = sink.Take();
+  ASSERT_EQ(hit.size(), 1u);
+  EXPECT_EQ(hit[0].outcome(), TraceOutcome::kCacheHit);
+  bool saw_hit = false;
+  for (const FlightEvent& e : dbms_->flight().SnapshotEvents()) {
+    if (e.kind != FlightEventKind::kCacheHit) continue;
+    if (e.trace != hit[0].trace_id()) continue;
+    saw_hit = true;
+    EXPECT_STREQ(e.label, "correlation(AGE,INCOME)");
+  }
+  EXPECT_TRUE(saw_hit) << "bivariate kCacheHit missing for trace "
+                       << hit[0].trace_id();
 }
 
 // Regression for the begin/end pairing bug: error paths (and the

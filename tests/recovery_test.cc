@@ -326,6 +326,24 @@ TEST_F(RecoveryE2ETest, CleanCrashRecoversEveryCommittedAnswer) {
   EXPECT_TRUE(fresh.value().result == mean_after);
 }
 
+TEST_F(RecoveryE2ETest, BivariateQueriesCommitTheirSummaryInserts) {
+  auto db = OpenDbms();
+  STATDB_ASSERT_OK(Populate(db.get()));
+  const uint64_t before = db->redo_log()->stats().records_appended;
+  // Each computed answer is inserted into the Summary Database; the
+  // query's commit makes that insert durable with one WAL record.
+  auto serial = db->QueryBivariate("v", "correlation", "AGE", "INCOME");
+  STATDB_ASSERT_OK(serial);
+  EXPECT_EQ(serial.value().source, AnswerSource::kComputed);
+  const uint64_t after_serial = db->redo_log()->stats().records_appended;
+  EXPECT_EQ(after_serial, before + 1);
+  auto parallel =
+      db->QueryBivariateParallel("v", "covariance", "AGE", "INCOME", {}, 2);
+  STATDB_ASSERT_OK(parallel);
+  EXPECT_EQ(parallel.value().source, AnswerSource::kComputed);
+  EXPECT_EQ(db->redo_log()->stats().records_appended, after_serial + 1);
+}
+
 TEST_F(RecoveryE2ETest, RecoverTwiceEqualsRecoverOnce) {
   {
     auto db = OpenDbms();

@@ -157,15 +157,27 @@ TEST_F(ReorganizeTest, GroupCompareMatchesDirectWelch) {
 }
 
 TEST_F(ReorganizeTest, GroupCompareInvalidatedByUpdates) {
-  ASSERT_TRUE(dbms_->QueryGroupCompare("v", "INCOME", "SEX", 0, 1).ok());
-  UpdateSpec spec;
-  spec.predicate = Eq(Col("SEX"), Lit(int64_t{0}));
-  spec.column = "INCOME";
-  spec.value = Mul(Col("INCOME"), Lit(2.0));
-  ASSERT_TRUE(dbms_->Update("v", spec).ok());
-  auto after = dbms_->QueryGroupCompare("v", "INCOME", "SEX", 0, 1);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->source, AnswerSource::kComputed);  // stale not served
+  // Inputs: the default DeltaConfig, and batched maintenance whose
+  // threshold never fires, so the update waits in the delta buffer until
+  // the query's flush-before-serve barrier applies it.
+  delta::DeltaConfig batched;
+  batched.adaptive = false;
+  batched.default_strategy = delta::MaintenanceStrategy::kDeltaBatched;
+  batched.flush_threshold = size_t{1} << 20;
+  for (const delta::DeltaConfig& config : {delta::DeltaConfig{}, batched}) {
+    SCOPED_TRACE(delta::StrategyName(config.default_strategy));
+    dbms_->set_delta_config(config);
+    dbms_->delta_policy().Reset();  // start from the input's strategy
+    ASSERT_TRUE(dbms_->QueryGroupCompare("v", "INCOME", "SEX", 0, 1).ok());
+    UpdateSpec spec;
+    spec.predicate = Eq(Col("SEX"), Lit(int64_t{0}));
+    spec.column = "INCOME";
+    spec.value = Mul(Col("INCOME"), Lit(2.0));
+    ASSERT_TRUE(dbms_->Update("v", spec).ok());
+    auto after = dbms_->QueryGroupCompare("v", "INCOME", "SEX", 0, 1);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after->source, AnswerSource::kComputed);  // stale not served
+  }
 }
 
 TEST_F(ReorganizeTest, GroupCompareDegenerateGroupFails) {

@@ -75,16 +75,21 @@ TEST_F(SessionTest, QueryAgreesWithHeadPath) {
   SessionManager* mgr = Enable();
   auto s = mgr->Open("alice");
   ASSERT_TRUE(s.ok());
-  auto head = dbms_->Query("v", "mean", "INCOME");
-  ASSERT_TRUE(head.ok());
-  auto pinned = (*s)->Query("v", "mean", "INCOME");
-  ASSERT_TRUE(pinned.ok());
-  EXPECT_EQ(head->result, pinned->result);
-  // Second identical query hits the session timeline.
-  auto again = (*s)->Query("v", "mean", "INCOME");
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->source, AnswerSource::kCacheHit);
-  EXPECT_EQ(again->result, pinned->result);
+  // Every function class: moments, value counts and order statistics.
+  for (const char* fn : {"mean", "variance", "stddev", "sum", "mode",
+                         "distinct", "histogram", "median", "quartiles"}) {
+    SCOPED_TRACE(fn);
+    auto head = dbms_->Query("v", fn, "INCOME");
+    ASSERT_TRUE(head.ok());
+    auto pinned = (*s)->Query("v", fn, "INCOME");
+    ASSERT_TRUE(pinned.ok());
+    EXPECT_EQ(head->result, pinned->result);
+    // Second identical query hits the session timeline.
+    auto again = (*s)->Query("v", fn, "INCOME");
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->source, AnswerSource::kCacheHit);
+    EXPECT_EQ(again->result, pinned->result);
+  }
   STATDB_ASSERT_OK((*s)->Close());
 }
 
