@@ -498,7 +498,7 @@ class Shell {
   }
 
   // Slow-query log: `slow on [ms]` arms capture (every later operation
-  // above the threshold keeps its full trace + joined flight events),
+  // above the threshold keeps its trace: spans plus its flight events),
   // `slow` dumps what was caught, `slow off` disarms.
   Status CmdSlow(const std::vector<std::string>& t) {
     if (t.size() > 1 && t[1] == "on") {
@@ -524,9 +524,10 @@ class Shell {
     return Status::OK();
   }
 
-  // Renders the slow log's traces + the flight window as Chrome
-  // trace-event JSON; paste into chrome://tracing or Perfetto. With an
-  // id, only that trace's spans and events are exported.
+  // Renders the flight window as Chrome trace-event JSON (spans are only
+  // in it while `explain` or the slow log traces); paste into
+  // chrome://tracing or Perfetto. With an id, only that trace's spans
+  // and events are exported.
   Status CmdTrace(const std::vector<std::string>& t) {
     uint64_t id = t.size() > 1 ? std::stoull(t[1]) : 0;
     std::cout << dbms_->DumpChromeTrace(id) << "\n";

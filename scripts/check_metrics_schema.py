@@ -8,7 +8,7 @@ document is selected with --kind:
   flight      DumpFlightJson()     — the flight-recorder event window
   timeseries  DumpTimeseriesJson() — snapshot deltas + derived rates
   workload    WorkloadReport()     — the §4.3 function/attribute heatmaps
-  slowlog     DumpSlowLogJson()    — slow queries + joined flight events
+  slowlog     DumpSlowLogJson()    — slow queries: traces + their events
   slo         DumpSloJson()        — per-query-class latency targets/burn
   chrometrace DumpChromeTrace()    — Chrome trace-event (catapult) JSON
 
@@ -90,12 +90,26 @@ KNOWN_EVENT_KINDS = {
     "maintainer_arm", "maintainer_fire", "wal_commit", "fault_injected",
     "io_retry", "recovery_step", "session_open", "session_close",
     "degraded", "data_loss", "update", "rollback", "policy_switch",
-    "delta_flush",
+    "delta_flush", "span",
 }
 
-# Per-event keys shared by the flight dump and the slow log's joined
-# events ("trace" is the PR 10 causal join key).
-EVENT_KEYS = ("seq", "t_ms", "kind", "label", "a", "b", "x", "trace")
+# Per-event keys shared by the flight dump and the slow log's events
+# ("trace" is the causal join key, "session" the stamping context's
+# session, which the Chrome export uses as the lane).
+EVENT_KEYS = ("seq", "t_ms", "kind", "label", "a", "b", "x", "trace",
+              "session")
+
+
+def check_event(ev: dict, where: str) -> None:
+    for key in EVENT_KEYS:
+        require(key in ev, f"{where} missing '{key}'")
+    require(ev["kind"] in KNOWN_EVENT_KINDS,
+            f"{where} has unknown kind '{ev['kind']}'")
+    if ev["kind"] == "span":
+        # A span is one complete record of a traced operation's phase:
+        # x is its wall time, and only traced operations record spans.
+        require(ev["x"] >= 0, f"{where}: span with negative wall ms")
+        require(ev["trace"] != 0, f"{where}: span with trace 0")
 
 
 def check_flight(doc: dict) -> str:
@@ -111,10 +125,7 @@ def check_flight(doc: dict) -> str:
             "more events than ring capacity")
     last_seq = -1
     for i, ev in enumerate(events):
-        for key in EVENT_KEYS:
-            require(key in ev, f"event [{i}] missing '{key}'")
-        require(ev["kind"] in KNOWN_EVENT_KINDS,
-                f"event [{i}] has unknown kind '{ev['kind']}'")
+        check_event(ev, f"event [{i}]")
         require(ev["seq"] > last_seq,
                 f"event [{i}] seq {ev['seq']} not ascending")
         last_seq = ev["seq"]
@@ -221,11 +232,7 @@ def check_slowlog(doc: dict) -> str:
                 require(key in span,
                         f"entry [{i}] span [{j}] missing '{key}'")
         for j, ev in enumerate(entry["flight_events"]):
-            for key in EVENT_KEYS:
-                require(key in ev,
-                        f"entry [{i}] event [{j}] missing '{key}'")
-            require(ev["kind"] in KNOWN_EVENT_KINDS,
-                    f"entry [{i}] event [{j}] unknown kind '{ev['kind']}'")
+            check_event(ev, f"entry [{i}] event [{j}]")
             # The join invariant: every joined event carries the entry's
             # trace_id — that is what made it part of this entry.
             require(ev["trace"] == entry["trace_id"],

@@ -62,11 +62,15 @@ CI next to the thread-safety lane:
                             argument (`Record(ctx, ...)`, including
                             `causal::Current()` for helpers without a ctx
                             parameter), or the event loses its trace_id
-                            join key (DESIGN.md §17). Files in those dirs
-                            that open QueryTrace spans (ScopedSpan) must
-                            likewise reference causal:: somewhere — a
-                            span emitter that never touches the context
-                            machinery produces traces with trace_id 0.
+                            join key (DESIGN.md §17). Spans take their
+                            context from a SpanTarget: in those dirs a
+                            ScopedSpan's first argument is never a literal
+                            nullptr or 0 (an untraced path passes its
+                            nullable target along), and a file that opens
+                            spans must reference causal:: somewhere — the
+                            target's context is the span event's only
+                            trace_id, and a span emitter that never
+                            touches the context machinery joins nothing.
                             Layers below causal (storage, fault) stay on
                             the bare form by design: the recorder stamps
                             the ambient thread-local context for them.
@@ -79,6 +83,14 @@ CI next to the thread-safety lane:
                             (DESIGN.md §9); a wrapper recording them by
                             hand is how the pairing and the WAL commit
                             drifted apart across entry points before.
+  R10 one-span-path         FlightEventKind::kSpan is recorded only by the
+                            span recorder, FlightRecorder::RecordSpan: no
+                            other Record*/Publish call in src/ passes
+                            kSpan. Span events must have one shape (label
+                            = span name, t_ms = start, x = wall ms, a =
+                            rows, b = pages) for QueryTrace assembly and
+                            the Chrome export to read them (DESIGN.md
+                            §10); reading kSpan (comparisons) is free.
 
 Usage:
   scripts/statdb_lint.py             # lint the repo; exit 1 on findings
@@ -496,6 +508,9 @@ CAUSAL_DIR_RE = re.compile(r"^src/(core|delta|session)/")
 # token after the paren. \s* spans newlines: wrapped calls still match.
 BARE_RECORD_RE = re.compile(r"\bRecord\s*\(\s*FlightEventKind\s*::")
 SCOPED_SPAN_RE = re.compile(r"\bScopedSpan\b")
+# A ScopedSpan variable constructed from a literal null target.
+NULL_SPAN_RE = re.compile(
+    r"\bScopedSpan\s+\w+\s*[({]\s*(?:nullptr|NULL|0)\s*,")
 CAUSAL_TOKEN_RE = re.compile(r"\bcausal\s*::")
 
 
@@ -518,6 +533,19 @@ def check_causal_events(path, text):
                 "loses its trace_id join key (DESIGN.md §17)",
             )
         )
+    for m in NULL_SPAN_RE.finditer(stripped):
+        lineno = stripped.count("\n", 0, m.start()) + 1
+        findings.append(
+            Finding(
+                "causal-traced-events",
+                path,
+                lineno,
+                "ScopedSpan on a literal null target in a context-aware "
+                "layer — pass the operation's SpanTarget (nullable when "
+                "untraced) so the span carries its TraceContext "
+                "(DESIGN.md §17)",
+            )
+        )
     span = SCOPED_SPAN_RE.search(stripped)
     if span and not CAUSAL_TOKEN_RE.search(stripped):
         lineno = stripped.count("\n", 0, span.start()) + 1
@@ -527,9 +555,9 @@ def check_causal_events(path, text):
                 path,
                 lineno,
                 "ScopedSpan in a context-aware layer but the file never "
-                "touches causal:: — the trace it feeds will carry "
-                "trace_id 0 and join nothing; mint (or propagate) a "
-                "TraceContext and SetContext the trace (DESIGN.md §17)",
+                "touches causal:: — its span events would carry no "
+                "operation's trace_id; mint (or propagate) a TraceContext "
+                "into the SpanTarget (DESIGN.md §17)",
             )
         )
     return findings
@@ -587,6 +615,46 @@ def check_query_scope(path, text):
     return findings
 
 
+# --- R10: kSpan events come from the span recorder only --------------------
+
+SPAN_KIND_RE = re.compile(r"\bFlightEventKind\s*::\s*kSpan\b")
+RECORD_CALL_RE = re.compile(r"\b(Record\w*|Publish)\s*\(")
+SPAN_RECORDER_DEF_RE = re.compile(
+    r"\b(?:FlightRecorder\s*::\s*)?RecordSpan\s*\([^;{]*\)\s*\{"
+)
+
+
+def check_one_span_path(path, text):
+    norm = path.replace(os.sep, "/")
+    if not norm.startswith("src/"):
+        return []
+    stripped = strip_comments(text)
+    recorder = [
+        _brace_span(stripped, m.end() - 1)
+        for m in SPAN_RECORDER_DEF_RE.finditer(stripped)
+    ]
+    findings = []
+    for m in RECORD_CALL_RE.finditer(stripped):
+        if any(a <= m.start() <= b for a, b in recorder):
+            continue
+        args = _balanced_args(stripped, m.end() - 1)
+        if not SPAN_KIND_RE.search(args):
+            continue
+        lineno = stripped.count("\n", 0, m.start()) + 1
+        findings.append(
+            Finding(
+                "one-span-path",
+                path,
+                lineno,
+                f"{m.group(1)}(...FlightEventKind::kSpan...) outside "
+                "FlightRecorder::RecordSpan — span events have one writer "
+                "so QueryTrace assembly and the Chrome export can read "
+                "them (DESIGN.md §10)",
+            )
+        )
+    return findings
+
+
 # --- driver ------------------------------------------------------------------
 
 
@@ -603,6 +671,7 @@ def lint_corpus(files):
         findings += check_delta_routing(path, text)
         findings += check_causal_events(path, text)
         findings += check_query_scope(path, text)
+        findings += check_one_span_path(path, text)
     findings += check_nodiscard(files)
     return findings
 
@@ -683,6 +752,15 @@ SELF_TEST_SNIPPETS = {
         "Result<QueryAnswer> StatisticalDbms::Query() {\n"
         "  QueryScope scope(this);\n"
         "  flight_.Record(ctx, FlightEventKind::kQueryEnd, l);\n"
+        "}\n",
+    ),
+    "one-span-path": (
+        # A layer hand-rolling a span event past the span recorder, with
+        # the kind on its own line.
+        "src/core/injected_r10.cc",
+        "void NoteScan(FlightRecorder* flight, const TraceContext& ctx) {\n"
+        "  flight->Record(ctx,\n"
+        "                 FlightEventKind::kSpan, \"scan\", 100, 4, 0.5);\n"
         "}\n",
     ),
 }

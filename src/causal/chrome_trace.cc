@@ -11,35 +11,19 @@ namespace causal {
 
 namespace {
 
-/// One complete ("X") event. ts/dur are in microseconds per the format.
-std::string CompleteEvent(const std::string& name, const std::string& cat,
-                          double ts_ms, double dur_ms, uint64_t tid,
-                          const std::string& args_json) {
-  return obs::JsonObject()
-      .Str("name", name)
-      .Str("cat", cat)
-      .Str("ph", "X")
-      .Num("ts", ts_ms * 1000.0)
-      .Num("dur", dur_ms * 1000.0)
-      .Int("pid", 1)
-      .Int("tid", tid)
-      .Raw("args", args_json)
-      .Build();
-}
-
-/// One instant ("i") event, thread-scoped.
-std::string InstantEvent(const std::string& name, double ts_ms,
-                         uint64_t tid, const std::string& args_json) {
-  return obs::JsonObject()
-      .Str("name", name)
-      .Str("cat", "flight")
-      .Str("ph", "i")
-      .Str("s", "t")
-      .Num("ts", ts_ms * 1000.0)
-      .Int("pid", 1)
-      .Int("tid", tid)
-      .Raw("args", args_json)
-      .Build();
+/// One trace event: an "X" complete event (dur_ms >= 0) or a
+/// thread-scoped "i" instant. ts/dur are in microseconds per the format.
+std::string TraceEvent(const std::string& name, const std::string& cat,
+                       double ts_ms, double dur_ms, uint64_t tid,
+                       const std::string& args_json) {
+  obs::JsonObject out;
+  out.Str("name", name).Str("cat", cat);
+  if (dur_ms >= 0) {
+    out.Str("ph", "X").Num("ts", ts_ms * 1000.0).Num("dur", dur_ms * 1000.0);
+  } else {
+    out.Str("ph", "i").Str("s", "t").Num("ts", ts_ms * 1000.0);
+  }
+  return out.Int("pid", 1).Int("tid", tid).Raw("args", args_json).Build();
 }
 
 std::string LaneName(uint64_t session_id) {
@@ -49,80 +33,48 @@ std::string LaneName(uint64_t session_id) {
 
 }  // namespace
 
-std::string ExportChromeTrace(const std::vector<QueryTrace>& traces,
-                              const std::vector<FlightEvent>& events,
+std::string ExportChromeTrace(const std::vector<FlightEvent>& events,
                               uint64_t trace_id_filter) {
-  // Pass 1: per-trace anchors (earliest flight event stamp) and lanes.
-  std::map<uint64_t, double> anchor_ms;
-  std::map<uint64_t, uint64_t> lane_of_trace;
-  for (const FlightEvent& ev : events) {
-    if (ev.trace == 0) continue;
-    auto it = anchor_ms.find(ev.trace);
-    if (it == anchor_ms.end() || ev.t_ms < it->second) {
-      anchor_ms[ev.trace] = ev.t_ms;
-    }
-  }
-  for (const QueryTrace& t : traces) {
-    if (t.trace_id() != 0) lane_of_trace[t.trace_id()] = t.session_id();
-  }
-  // Unanchored traces go end-to-end after everything that is anchored.
-  double cursor = 0;
-  for (const auto& [id, ms] : anchor_ms) cursor = std::max(cursor, ms);
-  for (const FlightEvent& ev : events) cursor = std::max(cursor, ev.t_ms);
-
+  struct Extent {  // one operation's first kQueryBegin → last kQueryEnd
+    const FlightEvent* begin = nullptr;
+    const FlightEvent* end = nullptr;
+  };
+  std::map<uint64_t, Extent> extents;
   std::vector<std::string> rows;
   std::set<uint64_t> lanes;
 
-  for (const QueryTrace& t : traces) {
-    if (trace_id_filter != 0 && t.trace_id() != trace_id_filter) continue;
-    double anchor;
-    auto it = anchor_ms.find(t.trace_id());
-    if (t.trace_id() != 0 && it != anchor_ms.end()) {
-      anchor = it->second;
-    } else {
-      anchor = cursor + 1.0;
-      cursor = anchor + std::max(t.total_ms(), 0.001);
-    }
-    uint64_t lane = t.session_id();
-    lanes.insert(lane);
-    std::string op_name =
-        t.operation() + " " + t.function() + "(" + t.attribute() + ")";
-    rows.push_back(CompleteEvent(
-        op_name, "operation", anchor, std::max(t.total_ms(), 0.001), lane,
-        obs::JsonObject()
-            .Int("trace_id", t.trace_id())
-            .Str("view", t.view())
-            .Str("outcome", TraceOutcomeName(t.outcome()))
-            .Build()));
-    for (size_t i = 0; i < t.size(); ++i) {
-      const TraceSpan& s = t.span(i);
-      std::string name = SpanKindName(s.kind);
-      if (s.detail >= 0) name += "[" + std::to_string(s.detail) + "]";
-      rows.push_back(CompleteEvent(
-          name, "span", anchor + s.start_ms, std::max(s.wall_ms, 0.001),
-          lane,
-          obs::JsonObject()
-              .Int("trace_id", t.trace_id())
-              .Int("rows", s.rows)
-              .Int("pages", s.pages)
-              .Build()));
-    }
-  }
-
   for (const FlightEvent& ev : events) {
     if (trace_id_filter != 0 && ev.trace != trace_id_filter) continue;
-    uint64_t lane = 0;
-    auto it = lane_of_trace.find(ev.trace);
-    if (it != lane_of_trace.end()) lane = it->second;
-    lanes.insert(lane);
-    rows.push_back(InstantEvent(
-        FlightEventKindName(ev.kind), ev.t_ms, lane,
+    lanes.insert(ev.session);
+    if (ev.kind == FlightEventKind::kSpan) {
+      rows.push_back(TraceEvent(ev.label, "span", ev.t_ms,
+                                std::max(ev.x, 0.001), ev.session,
+                                obs::JsonObject()
+                                    .Int("trace_id", ev.trace)
+                                    .Raw("rows", std::to_string(ev.a))
+                                    .Raw("pages", std::to_string(ev.b))
+                                    .Build()));
+      continue;
+    }
+    rows.push_back(TraceEvent(FlightEventKindName(ev.kind), "flight",
+                              ev.t_ms, -1, ev.session, FlightEventJson(ev)));
+    if (ev.kind == FlightEventKind::kQueryBegin &&
+        extents[ev.trace].begin == nullptr) {
+      extents[ev.trace].begin = &ev;
+    }
+    if (ev.kind == FlightEventKind::kQueryEnd) extents[ev.trace].end = &ev;
+  }
+
+  for (const auto& [trace, extent] : extents) {
+    if (extent.begin == nullptr || extent.end == nullptr) continue;
+    rows.push_back(TraceEvent(
+        extent.begin->label, "operation", extent.begin->t_ms,
+        std::max(extent.end->t_ms - extent.begin->t_ms, 0.001),
+        extent.begin->session,
         obs::JsonObject()
-            .Str("label", ev.label)
-            .Raw("a", std::to_string(ev.a))
-            .Raw("b", std::to_string(ev.b))
-            .Num("x", ev.x)
-            .Int("trace", ev.trace)
+            .Int("trace_id", trace)
+            .Str("outcome", TraceOutcomeName(
+                                static_cast<TraceOutcome>(extent.end->a)))
             .Build()));
   }
 

@@ -1,6 +1,5 @@
 #include "causal/slow_query_log.h"
 
-#include <fstream>
 #include <utility>
 
 #include "obs/json.h"
@@ -11,28 +10,19 @@ namespace causal {
 SlowQueryLog::SlowQueryLog(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-void SlowQueryLog::Capture(const QueryTrace& trace, double wall_ms,
-                           const FlightRecorder* flight) {
-  Entry entry;
-  entry.trace = trace;
-  entry.wall_ms = wall_ms;
-  if (flight != nullptr && trace.trace_id() != 0) {
-    for (const FlightEvent& ev : flight->SnapshotEvents()) {
-      if (ev.trace == trace.trace_id()) entry.events.push_back(ev);
-    }
-  }
+void SlowQueryLog::Capture(QueryTrace trace) {
   captured_.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(mu_);
   if (entries_.size() >= capacity_) {
     entries_.pop_front();
     dropped_.fetch_add(1, std::memory_order_relaxed);
   }
-  entries_.push_back(std::move(entry));
+  entries_.push_back(std::move(trace));
 }
 
-std::vector<SlowQueryLog::Entry> SlowQueryLog::Snapshot() const {
+std::vector<QueryTrace> SlowQueryLog::Snapshot() const {
   MutexLock lock(mu_);
-  return std::vector<Entry>(entries_.begin(), entries_.end());
+  return std::vector<QueryTrace>(entries_.begin(), entries_.end());
 }
 
 size_t SlowQueryLog::size() const {
@@ -41,30 +31,20 @@ size_t SlowQueryLog::size() const {
 }
 
 std::string SlowQueryLog::DumpJson(const std::string& reason) const {
-  std::vector<Entry> entries = Snapshot();
+  std::vector<QueryTrace> entries = Snapshot();
   std::vector<std::string> rows;
   rows.reserve(entries.size());
-  for (const Entry& entry : entries) {
+  for (const QueryTrace& trace : entries) {
     std::vector<std::string> events;
-    events.reserve(entry.events.size());
-    for (const FlightEvent& ev : entry.events) {
-      events.push_back(obs::JsonObject()
-                           .Int("seq", ev.seq)
-                           .Num("t_ms", ev.t_ms)
-                           .Str("kind", FlightEventKindName(ev.kind))
-                           .Str("label", ev.label)
-                           .Raw("a", std::to_string(ev.a))
-                           .Raw("b", std::to_string(ev.b))
-                           .Num("x", ev.x)
-                           .Int("trace", ev.trace)
-                           .Build());
+    events.reserve(trace.events().size());
+    for (const FlightEvent& ev : trace.events()) {
+      events.push_back(FlightEventJson(ev));
     }
     rows.push_back(obs::JsonObject()
-                       .Int("trace_id", entry.trace.trace_id())
-                       .Num("wall_ms", entry.wall_ms)
-                       .Str("outcome",
-                            TraceOutcomeName(entry.trace.outcome()))
-                       .Raw("trace", entry.trace.ToJson())
+                       .Int("trace_id", trace.trace_id())
+                       .Num("wall_ms", trace.total_ms())
+                       .Str("outcome", TraceOutcomeName(trace.outcome()))
+                       .Raw("trace", trace.ToJson())
                        .Raw("flight_events", obs::JsonArray(events))
                        .Build());
   }
@@ -78,37 +58,10 @@ std::string SlowQueryLog::DumpJson(const std::string& reason) const {
   return obs::JsonObject().Raw("slow_query_log", log.Build()).Build();
 }
 
-void SlowQueryLog::set_auto_dump_path(std::string path) {
-  MutexLock lock(auto_dump_mu_);
-  auto_dump_path_ = std::move(path);
-  auto_dump_armed_.store(!auto_dump_path_.empty(),
-                         std::memory_order_relaxed);
-}
-
-std::string SlowQueryLog::auto_dump_path() const {
-  MutexLock lock(auto_dump_mu_);
-  return auto_dump_path_;
-}
-
-bool SlowQueryLog::AutoDumpOnce(const std::string& reason) {
-  if (!auto_dump_armed_.load(std::memory_order_relaxed)) return false;
-  bool expected = false;
-  if (!auto_dump_fired_.compare_exchange_strong(
-          expected, true, std::memory_order_acq_rel)) {
-    return false;  // somebody else already shipped the incident log
-  }
-  std::string path = auto_dump_path();
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << DumpJson(reason) << "\n";
-  auto_dumps_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 void SlowQueryLog::Clear() {
   MutexLock lock(mu_);
   entries_.clear();
-  auto_dump_fired_.store(false, std::memory_order_relaxed);
+  auto_dump_.Rearm();
 }
 
 }  // namespace causal

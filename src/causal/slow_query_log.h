@@ -8,8 +8,7 @@
 #include <vector>
 
 #include "common/sync.h"
-#include "flight/flight_recorder.h"
-#include "obs/trace.h"
+#include "flight/query_trace.h"
 
 namespace statdb {
 namespace causal {
@@ -17,11 +16,10 @@ namespace causal {
 /// Bounded log of the slowest-behaving operations (DESIGN.md §17).
 ///
 /// When a completed top-level operation exceeds the latency threshold,
-/// the core captures its full QueryTrace *and* joins in every flight
-/// event stamped with the same trace_id — so one slow-log entry is the
-/// reassembled story of that operation across both telemetry streams
-/// (spans for "where did the time go", events for "what did the system
-/// do": cache verdict, delta flush, WAL commit, retries).
+/// the core hands over its assembled QueryTrace — read from the flight
+/// ring, so one entry already holds both the spans ("where did the time
+/// go") and the other events stamped with its trace_id ("what did the
+/// system do": cache verdict, delta flush, WAL commit, retries).
 ///
 /// The log is a drop-oldest ring: capture is off the query hot path
 /// (only threshold-exceeding operations pay it), so a Mutex-guarded
@@ -35,21 +33,14 @@ class SlowQueryLog {
   static constexpr size_t kDefaultCapacity = 32;
   static constexpr double kDefaultThresholdMs = 50.0;
 
-  /// One captured slow operation: the trace, the flight events that
-  /// carry its trace_id, and the headline wall time.
-  struct Entry {
-    QueryTrace trace;
-    std::vector<FlightEvent> events;
-    double wall_ms = 0;
-  };
-
   explicit SlowQueryLog(size_t capacity = kDefaultCapacity);
 
   SlowQueryLog(const SlowQueryLog&) = delete;
   SlowQueryLog& operator=(const SlowQueryLog&) = delete;
 
-  /// Capture gate. Off by default: the owner only builds QueryTraces on
-  /// every operation (the log's raw material) while the log is enabled.
+  /// Capture gate. Off by default: the owner only records spans and
+  /// assembles QueryTraces (the log's raw material) while the log is
+  /// enabled or a trace sink is attached.
   void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
   }
@@ -64,20 +55,16 @@ class SlowQueryLog {
     return threshold_ms_.load(std::memory_order_relaxed);
   }
 
-  /// The hot-path gate: one relaxed load and a compare. The core calls
-  /// this on every completed operation and only builds a capture when
-  /// it answers true.
+  /// The capture gate on a traced operation's wall time.
   bool ShouldCapture(double wall_ms) const {
     return wall_ms >= threshold_ms();
   }
 
-  /// Copies `trace` and joins `flight`'s current window filtered to
-  /// trace.trace_id() (flight == nullptr skips the join). Drops the
+  /// Retains `trace`; its total_ms is the entry's wall time. Drops the
   /// oldest entry when full.
-  void Capture(const QueryTrace& trace, double wall_ms,
-               const FlightRecorder* flight);
+  void Capture(QueryTrace trace);
 
-  std::vector<Entry> Snapshot() const;
+  std::vector<QueryTrace> Snapshot() const;
   size_t size() const;
   size_t capacity() const { return capacity_; }
   uint64_t captured() const {
@@ -93,15 +80,16 @@ class SlowQueryLog {
   std::string DumpJson(const std::string& reason = "manual") const;
 
   /// Arms the one-shot incident dump; empty path disarms.
-  void set_auto_dump_path(std::string path);
-  std::string auto_dump_path() const;
+  void set_auto_dump_path(std::string path) {
+    auto_dump_.set_path(std::move(path));
+  }
 
   /// Fires at most once per log lifetime (first caller wins). Returns
   /// true if this call wrote the dump. Safe from any thread.
-  bool AutoDumpOnce(const std::string& reason);
-  uint64_t auto_dumps() const {
-    return auto_dumps_.load(std::memory_order_relaxed);
+  bool AutoDumpOnce(const std::string& reason) {
+    return auto_dump_.Fire([&] { return DumpJson(reason); });
   }
+  uint64_t auto_dumps() const { return auto_dump_.dumps(); }
 
   void Clear();
 
@@ -113,13 +101,9 @@ class SlowQueryLog {
   std::atomic<uint64_t> dropped_{0};
 
   mutable Mutex mu_;
-  std::deque<Entry> entries_ STATDB_GUARDED_BY(mu_);
+  std::deque<QueryTrace> entries_ STATDB_GUARDED_BY(mu_);
 
-  std::atomic<bool> auto_dump_armed_{false};
-  std::atomic<bool> auto_dump_fired_{false};
-  std::atomic<uint64_t> auto_dumps_{0};
-  mutable Mutex auto_dump_mu_;
-  std::string auto_dump_path_ STATDB_GUARDED_BY(auto_dump_mu_);
+  OneShotDump auto_dump_;
 };
 
 }  // namespace causal

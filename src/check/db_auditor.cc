@@ -1,5 +1,6 @@
 #include "check/db_auditor.h"
 
+#include <optional>
 #include <vector>
 
 #include "core/dbms.h"
@@ -13,20 +14,48 @@ Status DbAuditor::AuditView(const std::string& view, CheckReport* report) {
   STATDB_ASSIGN_OR_RETURN(SummaryDatabase * summary,
                           dbms_->GetSummaryDb(view));
   STATDB_ASSIGN_OR_RETURN(ConcreteView * concrete, dbms_->GetView(view));
+  STATDB_ASSIGN_OR_RETURN(const delta::DeltaBuffer* deltas,
+                          dbms_->GetDeltaBuffer(view));
 
   // Structure first: a corrupt index makes the oracle's reads suspect.
   STATDB_RETURN_IF_ERROR(CheckBPlusTree(*summary->index(), report));
   STATDB_RETURN_IF_ERROR(CheckSummaryDb(summary, report));
 
+  // The cells the cached entries describe: an attribute's buffered,
+  // unflushed deltas are undone, newest first, so every touched row gets
+  // its first old value back. Nothing is drained.
+  auto read_column = [concrete, deltas](const std::string& attr)
+      -> Result<std::vector<Value>> {
+    STATDB_ASSIGN_OR_RETURN(std::vector<Value> cells,
+                            concrete->ReadColumn(attr));
+    const std::vector<delta::RowDelta>& pending = deltas->Pending(attr);
+    const Schema& schema = concrete->schema();
+    for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
+      if (it->row >= cells.size()) return InternalError("delta past " + attr);
+      const std::optional<double>& old = it->old_value;
+      cells[it->row] =
+          !old ? Value::Null()
+          : schema.attr(*schema.IndexOf(attr)).type == DataType::kInt64
+              ? Value::Int(int64_t(*old))
+              : Value::Real(*old);
+    }
+    return cells;
+  };
   ViewOracle oracle;
   oracle.view_version = concrete->version();
-  oracle.read_numeric =
-      [concrete](const std::string& attr) -> Result<std::vector<double>> {
-    return concrete->ReadNumericColumn(attr);
-  };
-  oracle.read_column =
-      [concrete](const std::string& attr) -> Result<std::vector<Value>> {
-    return concrete->ReadColumn(attr);
+  oracle.read_column = read_column;
+  oracle.read_numeric = [concrete, deltas, read_column](
+                            const std::string& attr)
+      -> Result<std::vector<double>> {
+    if (deltas->Pending(attr).empty()) return concrete->ReadNumericColumn(attr);
+    STATDB_ASSIGN_OR_RETURN(std::vector<Value> cells, read_column(attr));
+    std::vector<double> out;
+    for (const Value& v : cells) {
+      if (v.is_null()) continue;
+      STATDB_ASSIGN_OR_RETURN(double d, v.ToDouble());
+      out.push_back(d);
+    }
+    return out;
   };
   return AuditSummaryAgainstView(summary, dbms_->management_db().functions(),
                                  oracle, report, options_);

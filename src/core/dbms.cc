@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <optional>
 
-#include "causal/chrome_trace.h"
 #include "check/db_auditor.h"
 #include "delta/maintenance.h"
 #include "exec/chunked_scanner.h"
@@ -244,13 +243,20 @@ StatisticalDbms::~StatisticalDbms() {
   }
 }
 
-std::string StatisticalDbms::DumpChromeTrace(uint64_t trace_id_filter) {
-  std::vector<QueryTrace> traces;
-  for (const causal::SlowQueryLog::Entry& e : slow_log_.Snapshot()) {
-    traces.push_back(e.trace);
+void StatisticalDbms::EmitTrace(const SpanTarget& spans,
+                                std::string operation,
+                                const std::string& view,
+                                std::string function, std::string attribute,
+                                TraceOutcome outcome, double ms) {
+  QueryTrace trace = QueryTrace::Assemble(spans);
+  trace.SetLabel(std::move(operation), view, std::move(function),
+                 std::move(attribute));
+  trace.SetOutcome(outcome);
+  trace.SetTotalMs(ms);
+  if (trace_sink_ != nullptr) trace_sink_->OnQueryTrace(trace);
+  if (slow_log_.enabled() && slow_log_.ShouldCapture(ms)) {
+    slow_log_.Capture(std::move(trace));
   }
-  return causal::ExportChromeTrace(traces, flight_.SnapshotEvents(),
-                                   trace_id_filter);
 }
 
 void StatisticalDbms::TickTimeseries() {
@@ -529,7 +535,7 @@ Status StatisticalDbms::CheckQueryable(const Schema& schema,
 Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
     const std::string& view, ViewState* state, const SummaryKey& key,
     const FunctionParams& params, const QueryOptions& opts,
-    QueryAnswer* answer, QueryTrace* trace) {
+    QueryAnswer* answer, const SpanTarget* spans) {
   // Flush barrier (§16): a cached entry with pending deltas is behind
   // the data without being marked stale, so an exact serve must apply
   // the batch first. allow_stale accepts it as-is — the analyst already
@@ -543,7 +549,7 @@ Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
     }
   }
   Result<SummaryEntry> cached = [&] {
-    ScopedSpan span(trace, SpanKind::kCacheProbe);
+    ScopedSpan span(spans, SpanKind::kCacheProbe);
     return state->summary->Lookup(key);
   }();
   // "fn(attr)" or "fn(a,b)": the label of the probe's flight events.
@@ -565,7 +571,7 @@ Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
     return true;
   }
   if (cached.ok() && cached.value().stale) {
-    ScopedSpan span(trace, SpanKind::kStalenessGate);
+    ScopedSpan span(spans, SpanKind::kStalenessGate);
     if (opts.allow_stale ||
         (opts.max_version_lag > 0 &&
          state->view->version() - cached.value().view_version <=
@@ -590,7 +596,7 @@ Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
 
   // The inference rules derive single-attribute statistics only.
   if (opts.allow_inference && key.attributes.size() == 1) {
-    ScopedSpan span(trace, SpanKind::kInference);
+    ScopedSpan span(spans, SpanKind::kInference);
     Result<InferenceResult> inferred =
         InferFromSummaries(state->summary.get(), key.function,
                            key.attributes.front(), params);
@@ -611,9 +617,9 @@ Status StatisticalDbms::CacheComputedResult(const std::string& view,
                                             const SummaryKey& key,
                                             const SummaryResult& result,
                                             const std::vector<double>& data,
-                                            QueryTrace* trace) {
+                                            const SpanTarget* spans) {
   {
-    ScopedSpan span(trace, SpanKind::kSummaryInsert);
+    ScopedSpan span(spans, SpanKind::kSummaryInsert);
     STATDB_RETURN_IF_ERROR(
         state->summary->Insert(key, result, state->view->version()));
   }
@@ -621,7 +627,7 @@ Status StatisticalDbms::CacheComputedResult(const std::string& view,
   // view maintains incrementally.
   STATDB_ASSIGN_OR_RETURN(const ViewRecord* rec, mdb_.GetView(view));
   if (rec->policy == MaintenancePolicy::kIncremental) {
-    ScopedSpan span(trace, SpanKind::kMaintainerArm);
+    ScopedSpan span(spans, SpanKind::kMaintainerArm);
     span.SetRows(data.size());
     // Arming routes through the delta engine (R7: dbms never drives
     // maintainer arms directly), so the flush path owns every
@@ -668,12 +674,13 @@ struct StatisticalDbms::PairPlan {
 };
 
 /// RAII bracket of one public query call. Construction mints the causal
-/// context, builds the QueryTrace when a sink or the slow-query log wants
-/// one, and records one kQueryBegin per target; destruction records the
-/// matching kQueryEnd events, the latency/outcome/SLO sample, the trace
-/// emission and the profiler rows, then commits a successful call to the
-/// WAL. Every public Query* wrapper is one scope around one body, so the
-/// pairing and the commit hold on every path, early errors included.
+/// context, opens the span target when a sink or the slow-query log wants
+/// the trace, and records one kQueryBegin per target; destruction records
+/// the matching kQueryEnd events, the latency/outcome/SLO sample, the
+/// trace emission and the profiler rows, then commits a successful call
+/// to the WAL. Every public Query* wrapper is one scope around one body,
+/// so the pairing and the commit hold on every path, early errors
+/// included.
 class StatisticalDbms::QueryScope {
  public:
   /// A one-target call: `function(attribute)` labels the trace, the
@@ -683,32 +690,27 @@ class StatisticalDbms::QueryScope {
              const char* slo_class, const std::string& view,
              const std::string& function, const std::string& attribute,
              std::string commit_hint)
-      : QueryScope(db, slo_class, view, {{function, attribute}},
-                   std::move(commit_hint)) {
-    if (trace_) trace_->SetLabel(operation, view, function, attribute);
-  }
+      : QueryScope(db, operation, slo_class, view, {{function, attribute}},
+                   std::move(commit_hint)) {}
 
   /// QueryMany: one flight pair and profiler row per request, all under
   /// one trace.
   QueryScope(StatisticalDbms* db, const std::string& view,
              const std::vector<QueryRequest>& requests)
-      : QueryScope(db, "query_many", view, TargetsOf(requests),
+      : QueryScope(db, "querymany", "query_many", view, TargetsOf(requests),
                    requests.empty() ? "" : requests.front().attribute) {
-    if (trace_) {
-      trace_->SetLabel("querymany", view,
-                       "[" + std::to_string(requests.size()) + " requests]",
-                       "");
-    }
+    batch_ = true;
   }
 
   ~QueryScope() {
     const TraceOutcome outcome = ok_ ? outcome_ : TraceOutcome::kError;
-    EmitQueryObs(outcome);
+    const double ms = timer_.ElapsedMs();
+    EmitQueryObs(outcome, ms);
     // Per-target provenance for the profiler and the flight ring; a
     // batch's wall time is split evenly (per-request time is not
     // observable once scans are shared across requests).
     const double per_target_ms =
-        timer_.ElapsedMs() / double(std::max<size_t>(targets_.size(), 1));
+        ms / double(std::max<size_t>(targets_.size(), 1));
     for (size_t i = 0; i < targets_.size(); ++i) {
       const TraceOutcome o = ok_ ? target_outcomes_[i] : TraceOutcome::kError;
       if (db_->flight_.enabled()) {
@@ -721,13 +723,20 @@ class StatisticalDbms::QueryScope {
                                per_target_ms);
     }
     if (ok_) db_->CommitAfterQuery(commit_hint_);
+    // Last, so the trace holds its kQueryEnd events and the commit.
+    if (!spans_) return;
+    db_->EmitTrace(
+        *spans_, operation_, view_,
+        batch_ ? "[" + std::to_string(targets_.size()) + " requests]"
+               : targets_[0].function,
+        batch_ ? "" : targets_[0].attribute, outcome, ms);
   }
 
   QueryScope(const QueryScope&) = delete;
   QueryScope& operator=(const QueryScope&) = delete;
 
   /// nullptr when nothing wants this call's trace.
-  QueryTrace* trace() { return trace_ ? &*trace_ : nullptr; }
+  const SpanTarget* spans() const { return spans_ ? &*spans_ : nullptr; }
 
   /// Records the call's outcome (emitted by the destructor) and passes
   /// the result through.
@@ -754,19 +763,16 @@ class StatisticalDbms::QueryScope {
     std::string attribute;
   };
 
-  QueryScope(StatisticalDbms* db, const char* slo_class,
-             const std::string& view, std::vector<Target> targets,
-             std::string commit_hint)
+  QueryScope(StatisticalDbms* db, const char* operation,
+             const char* slo_class, const std::string& view,
+             std::vector<Target> targets, std::string commit_hint)
       : db_(db),
+        spans_(db->BeginTrace(ctx_.ctx())),
+        operation_(operation),
         slo_class_(slo_class),
         view_(view),
         targets_(std::move(targets)),
         commit_hint_(std::move(commit_hint)) {
-    if (db_->WantTrace()) {
-      trace_.emplace();
-      trace_->SetContext(ctx_.ctx().trace_id, ctx_.ctx().session_id,
-                         ctx_.ctx().query_seq);
-    }
     if (db_->flight_.enabled()) {
       for (size_t i = 0; i < targets_.size(); ++i) {
         db_->flight_.Record(ctx_.ctx(), FlightEventKind::kQueryBegin,
@@ -802,20 +808,11 @@ class StatisticalDbms::QueryScope {
     target_outcomes_ = std::move(outcomes);
   }
 
-  /// Query latency + outcome counters, the class's SLO sample, the trace
-  /// (sink and slow-query log).
-  void EmitQueryObs(TraceOutcome outcome) {
-    const double ms = timer_.ElapsedMs();
+  /// Query latency + outcome counters and the class's SLO sample.
+  void EmitQueryObs(TraceOutcome outcome, double ms) {
     db_->obs_query_ms_->Record(ms);
     db_->obs_outcomes_[size_t(outcome)]->Inc();
     db_->slo_.Record(slo_class_, ms, outcome == TraceOutcome::kError);
-    if (!trace_) return;
-    trace_->SetOutcome(outcome);
-    trace_->SetTotalMs(ms);
-    if (db_->trace_sink_ != nullptr) db_->trace_sink_->OnQueryTrace(*trace_);
-    if (db_->slow_log_.enabled() && db_->slow_log_.ShouldCapture(ms)) {
-      db_->slow_log_.Capture(*trace_, ms, &db_->flight_);
-    }
   }
 
   StatisticalDbms* db_;
@@ -823,11 +820,13 @@ class StatisticalDbms::QueryScope {
   // other member (and the destructor body's commit) is done with it.
   causal::ScopedTraceContext ctx_{causal::Mint()};
   TraceTimer timer_;
-  std::optional<QueryTrace> trace_;
+  const std::optional<SpanTarget> spans_;
+  const char* operation_;
   const char* slo_class_;
   const std::string& view_;
   std::vector<Target> targets_;
   std::string commit_hint_;
+  bool batch_ = false;
   bool ok_ = false;
   TraceOutcome outcome_ = TraceOutcome::kError;
   std::vector<TraceOutcome> target_outcomes_;
@@ -841,7 +840,7 @@ Result<QueryAnswer> StatisticalDbms::Query(const std::string& view,
   QueryScope scope(this, "query", "query", view, function, attribute,
                    attribute);
   return scope.Finish(Only(Execute(
-      Plan{view, {{function, attribute, params}}, opts}, scope.trace())));
+      Plan{view, {{function, attribute, params}}, opts}, scope.spans())));
 }
 
 Result<QueryAnswer> StatisticalDbms::QueryParallel(
@@ -852,7 +851,7 @@ Result<QueryAnswer> StatisticalDbms::QueryParallel(
                    attribute, attribute);
   return scope.Finish(
       Only(Execute(Plan{view, {{function, attribute, params}}, opts, workers},
-                   scope.trace())));
+                   scope.spans())));
 }
 
 Result<std::vector<QueryAnswer>> StatisticalDbms::QueryMany(
@@ -860,7 +859,7 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::QueryMany(
     const QueryOptions& opts, size_t workers) {
   QueryScope scope(this, view, requests);
   return scope.Finish(
-      Execute(Plan{view, requests, opts, workers}, scope.trace()));
+      Execute(Plan{view, requests, opts, workers}, scope.spans()));
 }
 
 Result<QueryAnswer> StatisticalDbms::QueryFiltered(
@@ -871,7 +870,7 @@ Result<QueryAnswer> StatisticalDbms::QueryFiltered(
                    attribute, attribute);
   return scope.Finish(
       Only(Execute(Plan{view, {{function, attribute, params}}, {}, 1, pred},
-                   scope.trace())));
+                   scope.spans())));
 }
 
 Result<QueryAnswer> StatisticalDbms::QueryBivariate(
@@ -881,7 +880,7 @@ Result<QueryAnswer> StatisticalDbms::QueryBivariate(
   QueryScope scope(this, "bivariate", "bivariate", view, function,
                    attr_a + "," + attr_b, attr_a);
   return scope.Finish(ExecutePair(
-      PairPlan{view, function, attr_a, attr_b, opts}, scope.trace()));
+      PairPlan{view, function, attr_a, attr_b, opts}, scope.spans()));
 }
 
 Result<QueryAnswer> StatisticalDbms::QueryBivariateParallel(
@@ -892,7 +891,7 @@ Result<QueryAnswer> StatisticalDbms::QueryBivariateParallel(
                    attr_a + "," + attr_b, attr_a);
   return scope.Finish(ExecutePair(
       PairPlan{view, function, attr_a, attr_b, opts, workers},
-      scope.trace()));
+      scope.spans()));
 }
 
 Result<QueryAnswer> StatisticalDbms::QueryGroupCompare(
@@ -904,7 +903,7 @@ Result<QueryAnswer> StatisticalDbms::QueryGroupCompare(
   return scope.Finish(ExecutePair(PairPlan{view, "welch_t", value_attr,
                                            category_attr, opts, 1, code_a,
                                            code_b},
-                                  scope.trace()));
+                                  scope.spans()));
 }
 
 Result<SummaryResult> StatisticalDbms::ComputeOverColumn(
@@ -920,8 +919,8 @@ Result<SummaryResult> StatisticalDbms::ComputeOverColumn(
                      data);
 }
 
-Result<std::vector<QueryAnswer>> StatisticalDbms::Execute(const Plan& plan,
-                                                          QueryTrace* trace) {
+Result<std::vector<QueryAnswer>> StatisticalDbms::Execute(
+    const Plan& plan, const SpanTarget* spans) {
   STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(plan.view));
   const ConcreteView* cv = state->view.get();
   const std::vector<QueryRequest>& requests = plan.requests;
@@ -958,7 +957,7 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::Execute(const Plan& plan,
       STATDB_ASSIGN_OR_RETURN(
           bool answered,
           TryAnswerWithoutComputing(plan.view, state, keys[i], r.params,
-                                    plan.opts, &answers[i], trace));
+                                    plan.opts, &answers[i], spans));
       if (answered) continue;
     }
     auto g = std::find_if(groups.begin(), groups.end(),
@@ -1005,7 +1004,7 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::Execute(const Plan& plan,
       if (!IsMergeable(requests[i].function)) spec.keep_values = true;
     }
     if (arm_maintainers) spec.keep_values = true;
-    spec.time_chunks = trace != nullptr;
+    spec.time_chunks = spans != nullptr;
     // The filter, coerced to the attribute's type like index probes and
     // then compared as doubles, so both access paths decide NaN and
     // boundary cells alike. kAll when the plan has no filter.
@@ -1052,7 +1051,7 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::Execute(const Plan& plan,
     }
     ColumnScanResult scan;
     if (compressed) {
-      ScopedSpan span(trace, SpanKind::kCompressedScan);
+      ScopedSpan span(spans, SpanKind::kCompressedScan);
       const simd::RunValueKind kind =
           RunKindOf(cv->schema(), *cv->schema().IndexOf(attr));
       if (filtered) {
@@ -1086,18 +1085,19 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::Execute(const Plan& plan,
         return cells;
       };
       {
-        ScopedSpan span(trace, SpanKind::kScan);
+        ScopedSpan span(spans, SpanKind::kScan);
         STATDB_ASSIGN_OR_RETURN(
             scan, ParallelScanColumn(cv->num_rows(), ColumnFile::kCellsPerPage,
                                      reader, spec, pool ? &*pool : nullptr));
         span.SetRowsPaged(scan.desc.count, ColumnFile::kCellsPerPage);
       }
       obs_scan_materialized_->Inc();
-      if (trace != nullptr) {
+      if (spans != nullptr) {
         for (size_t c = 0; c < scan.chunk_stats.size(); ++c) {
           const ChunkScanStat& cs = scan.chunk_stats[c];
-          trace->Add(SpanKind::kScanChunk, cs.wall_ms, cs.rows,
-                     PagesOf(cs.rows), int32_t(c));
+          spans->flight->RecordSpan(spans->ctx, SpanKind::kScanChunk,
+                                    int32_t(c), flight_.ToMs(cs.start),
+                                    cs.wall_ms, cs.rows, PagesOf(cs.rows));
         }
       }
     }
@@ -1105,7 +1105,7 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::Execute(const Plan& plan,
       const QueryRequest& r = requests[i];
       SummaryResult result;
       {
-        ScopedSpan span(trace, SpanKind::kCompute);
+        ScopedSpan span(spans, SpanKind::kCompute);
         span.SetRows(scan.desc.count);
         STATDB_ASSIGN_OR_RETURN(
             result, FinishUnary(mdb_.functions(), r.function, r.params, scan,
@@ -1114,7 +1114,7 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::Execute(const Plan& plan,
       ++state->traffic.computed;
       if (cache) {
         STATDB_RETURN_IF_ERROR(CacheComputedResult(
-            plan.view, state, keys[i], result, scan.values, trace));
+            plan.view, state, keys[i], result, scan.values, spans));
       }
       answers[i] = QueryAnswer{
           std::move(result), AnswerSource::kComputed, true,
@@ -1136,7 +1136,7 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::Execute(const Plan& plan,
 }
 
 Result<QueryAnswer> StatisticalDbms::ExecutePair(const PairPlan& plan,
-                                                 QueryTrace* trace) {
+                                                 const SpanTarget* spans) {
   const std::string& fn = plan.function;
   const bool comoment =
       fn == "correlation" || fn == "covariance" || fn == "regression";
@@ -1158,7 +1158,7 @@ Result<QueryAnswer> StatisticalDbms::ExecutePair(const PairPlan& plan,
   QueryAnswer answer;
   STATDB_ASSIGN_OR_RETURN(
       bool answered, TryAnswerWithoutComputing(plan.view, state, key, params,
-                                               plan.opts, &answer, trace));
+                                               plan.opts, &answer, spans));
   if (answered) return answer;
   // Compute paths flush unconditionally (see Execute): the comoment
   // maintainer armed below is seeded from the scanned pairs.
@@ -1187,7 +1187,7 @@ Result<QueryAnswer> StatisticalDbms::ExecutePair(const PairPlan& plan,
       pool->set_task_latency_sink(obs_pool_task_ms_);
     }
     {
-      ScopedSpan span(trace, SpanKind::kScan);
+      ScopedSpan span(spans, SpanKind::kScan);
       STATDB_ASSIGN_OR_RETURN(
           cs, ParallelScanPairs(cv->num_rows(), ColumnFile::kCellsPerPage,
                                 reader, pool ? &*pool : nullptr));
@@ -1199,7 +1199,7 @@ Result<QueryAnswer> StatisticalDbms::ExecutePair(const PairPlan& plan,
       pool->Quiesce();  // join workers so `executed` is exact
       FoldPoolStats(*pool);
     }
-    ScopedSpan span(trace, SpanKind::kCompute);
+    ScopedSpan span(spans, SpanKind::kCompute);
     span.SetRows(cs->n);
     if (fn == "correlation") {
       STATDB_ASSIGN_OR_RETURN(double r, cs->PearsonR());
@@ -1217,12 +1217,12 @@ Result<QueryAnswer> StatisticalDbms::ExecutePair(const PairPlan& plan,
     std::vector<Value> va;
     std::vector<Value> vb;
     {
-      ScopedSpan span(trace, SpanKind::kScan);
+      ScopedSpan span(spans, SpanKind::kScan);
       STATDB_ASSIGN_OR_RETURN(va, state->view->ReadColumn(plan.attr_a));
       STATDB_ASSIGN_OR_RETURN(vb, state->view->ReadColumn(plan.attr_b));
       span.SetRowsPaged(2 * va.size(), ColumnFile::kCellsPerPage);
     }
-    ScopedSpan span(trace, SpanKind::kCompute);
+    ScopedSpan span(spans, SpanKind::kCompute);
     if (contingency) {
       Table pair{Schema({Attribute::Category(plan.attr_a, DataType::kInt64),
                          Attribute::Category(plan.attr_b, DataType::kInt64)})};
@@ -1262,7 +1262,7 @@ Result<QueryAnswer> StatisticalDbms::ExecutePair(const PairPlan& plan,
   }
   ++state->traffic.computed;
   if (plan.opts.cache_result) {
-    ScopedSpan span(trace, SpanKind::kSummaryInsert);
+    ScopedSpan span(spans, SpanKind::kSummaryInsert);
     STATDB_RETURN_IF_ERROR(
         state->summary->Insert(key, result, state->view->version()));
     if (cs.has_value() &&
@@ -1677,6 +1677,12 @@ Result<uint64_t> StatisticalDbms::PendingDeltas(const std::string& view) {
   return uint64_t{state->deltas.TotalPending()};
 }
 
+Result<const delta::DeltaBuffer*> StatisticalDbms::GetDeltaBuffer(
+    const std::string& view) {
+  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
+  return &state->deltas;
+}
+
 Status StatisticalDbms::MaintainDerivedColumns(
     const std::string& view_name, ViewState* state,
     const std::string& attribute, const std::vector<CellChange>& changes,
@@ -1711,11 +1717,9 @@ Status StatisticalDbms::MaintainDerivedColumns(
 
 Status StatisticalDbms::MaybeAuditAfterUpdate(const std::string& view) {
   if (!audit_after_update_) return Status::OK();
-  // The auditor recomputes cached statistics from base data; flush first
-  // so entries with buffered deltas are comparable. (Audit builds thus
-  // defeat batching — acceptable: auditing is a debug mode.)
-  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
-  STATDB_RETURN_IF_ERROR(FlushViewDeltas(view, state));
+  // No flush: the auditor checks entries on attributes with buffered
+  // deltas against the view with those deltas undone, so auditing
+  // leaves batching exactly as it found it.
   CheckReport report;
   DbAuditor auditor(this);
   STATDB_RETURN_IF_ERROR(auditor.AuditView(view, &report));

@@ -3,10 +3,12 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "causal/chrome_trace.h"
 #include "causal/slo.h"
 #include "causal/slow_query_log.h"
 #include "causal/trace_context.h"
@@ -23,10 +25,10 @@
 #include "fault/wal.h"
 #include "flight/flight_recorder.h"
 #include "flight/profiler.h"
+#include "flight/query_trace.h"
 #include "flight/timeseries.h"
 #include "meta/catalog.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "relational/stored_table.h"
 #include "rules/management_db.h"
 #include "storage/storage_manager.h"
@@ -363,6 +365,9 @@ class StatisticalDbms {
 
   /// Pending (buffered, unflushed) deltas across the view's attributes.
   Result<uint64_t> PendingDeltas(const std::string& view);
+  /// The view's delta buffer, read-only: the auditor undoes its pending
+  /// deltas to reconstruct the state cached entries describe.
+  Result<const delta::DeltaBuffer*> GetDeltaBuffer(const std::string& view);
 
   /// Tuning knobs of the delta engine. Strategy state already built
   /// under the old config is kept; it re-converges under the new bands.
@@ -456,13 +461,12 @@ class StatisticalDbms {
   /// registry (thread-pool queue depth/task latency, query latency).
   std::string DumpMetrics();
 
-  /// Attaches a per-query trace sink: every public Query* call emits a
-  /// QueryTrace of its phase spans. With no sink (the default) the query
-  /// paths skip all clock reads and allocate nothing for tracing. The
-  /// sink must be thread-safe if queries run concurrently, and must
-  /// outlive its attachment. nullptr detaches.
+  /// Attaches a per-query trace sink: every Query* call and Recover
+  /// emits a QueryTrace of its spans, read back from the flight ring (so
+  /// tracing needs the recorder enabled). With no sink and the slow log
+  /// off (the default) no clock is read and no span recorded. The sink
+  /// must be thread-safe and outlive its attachment; nullptr detaches.
   void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
-  TraceSink* trace_sink() const { return trace_sink_; }
 
   // --- causal tracing, SLOs & the slow-query log (DESIGN.md §17) -----------
 
@@ -473,8 +477,9 @@ class StatisticalDbms {
   causal::SloTracker& slo() { return slo_; }
   std::string DumpSloJson() const { return slo_.DumpJson(); }
 
-  /// Bounded log of threshold-exceeding operations: the full QueryTrace
-  /// joined with the flight events carrying its trace_id. Disabled by
+  /// Bounded log of threshold-exceeding operations: each entry is the
+  /// operation's QueryTrace — its spans plus the other flight events
+  /// carrying its trace_id. Disabled by
   /// default (capturing needs traces built on every query); enabled by
   /// slow_query_log().set_enabled(true) or the STATDB_SLOWLOG_DUMP
   /// environment variable, which also arms a one-shot incident dump on
@@ -484,23 +489,28 @@ class StatisticalDbms {
     return slow_log_.DumpJson(reason);
   }
 
-  /// Chrome trace-event (catapult) export of the slow-query log's
-  /// captured traces laid against the flight window — open the result
-  /// in chrome://tracing or Perfetto. `trace_id_filter` != 0 restricts
-  /// to one operation (the shell's `trace <id>`).
-  std::string DumpChromeTrace(uint64_t trace_id_filter = 0);
+  /// Chrome trace-event (catapult) export of the flight window: spans
+  /// and operations as complete events, everything else as instants,
+  /// one lane per session — open the result in chrome://tracing or
+  /// Perfetto. `trace_id_filter` != 0 restricts to one operation (the
+  /// shell's `trace <id>`).
+  std::string DumpChromeTrace(uint64_t trace_id_filter = 0) {
+    return causal::ExportChromeTrace(flight_.SnapshotEvents(),
+                                     trace_id_filter);
+  }
 
   // --- flight recorder, profiler & timeseries (src/flight, §12) -----------
 
   /// The black box: a lock-light ring of the last N structured events
-  /// (query begin/end, cache verdicts, maintainer arm/fire, WAL commits,
-  /// injected faults, I/O retries, recovery steps, degraded/DATA_LOSS
-  /// flips). Enabled by default; recording costs a few relaxed stores.
-  /// The DBMS constructor attaches it to the tape/disk buffer pools and
-  /// devices; EnableDurability extends that to the WAL device. If the
-  /// STATDB_FLIGHT_DUMP environment variable names a path at
-  /// construction, the first DATA_LOSS or degraded-mode entry writes the
-  /// event window there automatically (once).
+  /// (query begin/end, query-phase spans while tracing, cache verdicts,
+  /// maintainer arm/fire, WAL commits, injected faults, I/O retries,
+  /// recovery steps, degraded/DATA_LOSS flips). Enabled by default;
+  /// recording costs a few relaxed stores. The DBMS constructor attaches
+  /// it to the tape/disk buffer pools and devices; EnableDurability
+  /// extends that to the WAL device. If the STATDB_FLIGHT_DUMP
+  /// environment variable names a path at construction, the first
+  /// DATA_LOSS or degraded-mode entry writes the event window there
+  /// automatically (once).
   FlightRecorder& flight() { return flight_; }
   std::string DumpFlightJson(const std::string& reason = "manual") {
     return flight_.DumpJson(reason);
@@ -574,8 +584,8 @@ class StatisticalDbms {
 
  private:
   /// RAII bracket of one public query call (dbms.cc): causal mint,
-  /// optional QueryTrace, flight begin/end, obs + SLO emission, profiler
-  /// note and the WAL commit of a successful call.
+  /// optional span target and trace emission, flight begin/end, obs +
+  /// SLO emission, profiler note and the WAL commit of a successful call.
   class QueryScope;
   /// A single-attribute query as a value: its requests, degree of
   /// parallelism and (QueryFiltered) row predicate. Run by Execute.
@@ -657,7 +667,7 @@ class StatisticalDbms {
   /// and (single-attribute keys only) inference. Fills `*answer` and
   /// returns true when the request is satisfied without computation;
   /// bumps the traffic counters and records the cache-verdict flight
-  /// events it consumes. `trace` (nullable) receives cache-probe /
+  /// events it consumes. `spans` (nullable) receives cache-probe /
   /// staleness-gate / inference spans.
   /// Exact serves flush the key's attributes' pending deltas first
   /// (flush-before-serve, §16); allow_stale accepts the un-flushed entry
@@ -668,7 +678,7 @@ class StatisticalDbms {
                                          const FunctionParams& params,
                                          const QueryOptions& opts,
                                          QueryAnswer* answer,
-                                         QueryTrace* trace);
+                                         const SpanTarget* spans);
 
   /// Drains `attribute`'s pending deltas through the flush engine and
   /// folds the effort into the traffic counters. No-op when idle.
@@ -676,27 +686,28 @@ class StatisticalDbms {
                               const std::string& attribute);
 
   /// FlushAttributeDeltas over every attribute with pending deltas —
-  /// the whole-view barrier (explicit FlushDeltas, audits, reorganize).
+  /// the whole-view barrier (explicit FlushDeltas, reorganize).
   Status FlushViewDeltas(const std::string& view_name, ViewState* state);
 
   /// Caches a computed result and arms an incremental maintainer when
   /// the view's policy wants one — the tail of Execute's compute path.
   /// `data` is the full column (maintainer initialization); ignored
-  /// under other policies. `trace` (nullable)
+  /// under other policies. `spans` (nullable)
   /// receives summary-insert / maintainer-arm spans.
   Status CacheComputedResult(const std::string& view, ViewState* state,
                              const SummaryKey& key,
                              const SummaryResult& result,
                              const std::vector<double>& data,
-                             QueryTrace* trace);
+                             const SpanTarget* spans);
 
   /// The query bodies behind every public Query* wrapper. Execute runs
   /// single-attribute plans: consult, flush, scan each attribute once
   /// (compressed-domain or materialized, at the plan's dop), finish,
   /// cache. ExecutePair runs two-attribute plans the same way.
   Result<std::vector<QueryAnswer>> Execute(const Plan& plan,
-                                           QueryTrace* trace);
-  Result<QueryAnswer> ExecutePair(const PairPlan& plan, QueryTrace* trace);
+                                           const SpanTarget* spans);
+  Result<QueryAnswer> ExecutePair(const PairPlan& plan,
+                                  const SpanTarget* spans);
 
   /// Update/Rollback bodies; the public wrappers mint the mutation's
   /// causal context and record its SLO sample.
@@ -707,14 +718,27 @@ class StatisticalDbms {
 
   /// Recover() body; the public wrapper owns the "recover"-labeled trace
   /// whose spans (WAL scan, redo replay, manifest apply, fallback
-  /// invalidation) `trace` (nullable) receives.
-  Status RecoverImpl(QueryTrace* trace);
+  /// invalidation) `spans` (nullable) receives.
+  Status RecoverImpl(const SpanTarget* spans);
 
-  /// True when the query wrappers should build a QueryTrace: a sink is
-  /// attached, or the slow-query log wants completed traces to capture.
+  /// True when operations should record spans: the recorder is on and a
+  /// sink or the slow-query log wants the assembled traces.
   bool WantTrace() const {
-    return trace_sink_ != nullptr || slow_log_.enabled();
+    return flight_.enabled() &&
+           (trace_sink_ != nullptr || slow_log_.enabled());
   }
+  /// The span target of an operation running under `ctx`, or nullopt
+  /// when nothing wants its trace.
+  std::optional<SpanTarget> BeginTrace(const causal::TraceContext& ctx) {
+    if (!WantTrace()) return std::nullopt;
+    return SpanTarget{&flight_, ctx, flight_.recorded(), flight_.NowMs()};
+  }
+  /// The end step of every traced operation (QueryScope, Recover):
+  /// assembles its QueryTrace from the ring, labels it and hands it to
+  /// the sink and, past the threshold, the slow-query log.
+  void EmitTrace(const SpanTarget& spans, std::string operation,
+                 const std::string& view, std::string function,
+                 std::string attribute, TraceOutcome outcome, double ms);
 
   /// One named-scalar photograph of every counter the timeseries tracks:
   /// the registry snapshot plus the canonical summary.*/io.*/wal.* keys

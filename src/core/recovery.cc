@@ -384,29 +384,18 @@ Status StatisticalDbms::Recover() {
   // kWalCommit land under one trace_id.
   causal::ScopedTraceContext scope(causal::Mint());
   TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("recover", "", "", "");
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  Status s = RecoverImpl(tr);
+  const std::optional<SpanTarget> spans = BeginTrace(scope.ctx());
+  Status s = RecoverImpl(spans ? &*spans : nullptr);
   double ms = timer.ElapsedMs();
   slo_.Record("recover", ms, !s.ok());
-  if (tr != nullptr) {
-    tr->SetOutcome(s.ok() ? TraceOutcome::kComputed : TraceOutcome::kError);
-    tr->SetTotalMs(ms);
-    if (trace_sink_ != nullptr) trace_sink_->OnQueryTrace(*tr);
-    if (slow_log_.enabled() && slow_log_.ShouldCapture(ms)) {
-      slow_log_.Capture(*tr, ms, &flight_);
-    }
+  if (spans) {
+    EmitTrace(*spans, "recover", "", "", "",
+              s.ok() ? TraceOutcome::kComputed : TraceOutcome::kError, ms);
   }
   return s;
 }
 
-Status StatisticalDbms::RecoverImpl(QueryTrace* trace) {
+Status StatisticalDbms::RecoverImpl(const SpanTarget* spans) {
   if (wal_ == nullptr) {
     return FailedPreconditionError("Recover() without EnableDurability()");
   }
@@ -420,7 +409,7 @@ Status StatisticalDbms::RecoverImpl(QueryTrace* trace) {
   }
   WalScanResult scan;
   {
-    ScopedSpan span(trace, SpanKind::kWalScan);
+    ScopedSpan span(spans, SpanKind::kWalScan);
     STATDB_ASSIGN_OR_RETURN(scan, wal_->Open());
     span.SetRows(scan.records.size());
   }
@@ -446,7 +435,7 @@ Status StatisticalDbms::RecoverImpl(QueryTrace* trace) {
                           storage_->GetDevice(disk_device_));
   uint64_t pages_replayed = 0;
   {
-    ScopedSpan span(trace, SpanKind::kRedoReplay);
+    ScopedSpan span(spans, SpanKind::kRedoReplay);
     for (const WalRecord& rec : scan.records) {
       for (const auto& [pid, page] : rec.pages) {
         while (disk_dev->page_count() <= pid) {
@@ -466,7 +455,7 @@ Status StatisticalDbms::RecoverImpl(QueryTrace* trace) {
   metrics_.GetCounter("dbms.recovery.pages_replayed")->Inc(pages_replayed);
 
   {
-    ScopedSpan span(trace, SpanKind::kManifestApply);
+    ScopedSpan span(spans, SpanKind::kManifestApply);
     if (!scan.records.empty()) {
       STATDB_RETURN_IF_ERROR(ApplyManifest(scan.records.back().manifest));
       span.SetRows(views_.size());
@@ -489,7 +478,7 @@ Status StatisticalDbms::RecoverImpl(QueryTrace* trace) {
   if (scan.torn_tail) {
     uint64_t invalidated = 0;
     {
-      ScopedSpan span(trace, SpanKind::kFallbackInvalidate);
+      ScopedSpan span(spans, SpanKind::kFallbackInvalidate);
       for (auto& [name, state] : views_) {
         if (!scan.torn_attr_hint.empty()) {
           STATDB_ASSIGN_OR_RETURN(

@@ -53,13 +53,18 @@ class DeltaBuffer {
                         const std::vector<CellChange>& changes,
                         bool coalesce);
 
-  bool HasPending(const std::string& attribute) const {
+  /// `attribute`'s pending deltas in first-touch order (empty if none),
+  /// without draining them.
+  const std::vector<RowDelta>& Pending(const std::string& attribute) const {
+    static const std::vector<RowDelta> kNone;
     auto it = queues_.find(attribute);
-    return it != queues_.end() && !it->second.items.empty();
+    return it == queues_.end() ? kNone : it->second.items;
+  }
+  bool HasPending(const std::string& attribute) const {
+    return !Pending(attribute).empty();
   }
   size_t PendingCount(const std::string& attribute) const {
-    auto it = queues_.find(attribute);
-    return it == queues_.end() ? 0 : it->second.items.size();
+    return Pending(attribute).size();
   }
   size_t TotalPending() const;
 

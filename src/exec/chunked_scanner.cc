@@ -49,6 +49,7 @@ Status ScanOneChunk(const ScanChunk& chunk, const ColumnRangeReader& reader,
   *out = FoldColumnSpan(data.data(), data.size(), spec.want_counts);
   if (stat != nullptr) {
     stat->rows = data.size();
+    stat->start = start;
     stat->wall_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - start)
                         .count();

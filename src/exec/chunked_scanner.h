@@ -1,6 +1,7 @@
 #ifndef STATDB_EXEC_CHUNKED_SCANNER_H_
 #define STATDB_EXEC_CHUNKED_SCANNER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -61,6 +62,7 @@ struct ColumnScanSpec {
 /// beyond the pool's join barrier.
 struct ChunkScanStat {
   uint64_t rows = 0;    // non-missing cells this chunk yielded
+  std::chrono::steady_clock::time_point start;  // when the task began
   double wall_ms = 0;   // read + fold wall time on the worker
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <fstream>
+#include <charconv>
 
 #include "obs/json.h"
 
@@ -35,6 +35,52 @@ size_t RoundUpPow2(size_t n) {
 
 }  // namespace
 
+const char* SpanKindName(SpanKind kind) {
+  switch (kind) {
+    case SpanKind::kCacheProbe: return "cache_probe";
+    case SpanKind::kStalenessGate: return "staleness_gate";
+    case SpanKind::kInference: return "inference";
+    case SpanKind::kScan: return "scan";
+    case SpanKind::kScanChunk: return "scan_chunk";
+    case SpanKind::kCompute: return "compute";
+    case SpanKind::kMaintainerArm: return "maintainer_arm";
+    case SpanKind::kSummaryInsert: return "summary_insert";
+    case SpanKind::kWalScan: return "wal_scan";
+    case SpanKind::kRedoReplay: return "redo_replay";
+    case SpanKind::kManifestApply: return "manifest_apply";
+    case SpanKind::kFallbackInvalidate: return "fallback_invalidate";
+    case SpanKind::kCompressedScan: return "compressed_scan";
+  }
+  return "?";
+}
+
+const char* TraceOutcomeName(TraceOutcome outcome) {
+  switch (outcome) {
+    case TraceOutcome::kUnknown: return "unknown";
+    case TraceOutcome::kCacheHit: return "cache_hit";
+    case TraceOutcome::kStaleCacheHit: return "stale_cache_hit";
+    case TraceOutcome::kInferred: return "inferred";
+    case TraceOutcome::kComputed: return "computed";
+    case TraceOutcome::kError: return "error";
+  }
+  return "?";
+}
+
+bool ParseSpanLabel(std::string_view label, SpanKind* kind,
+                    int32_t* detail) {
+  const size_t bracket = label.find('[');
+  *detail = -1;
+  if (bracket != std::string_view::npos) {
+    std::from_chars(label.data() + bracket + 1, label.data() + label.size(),
+                    *detail);
+  }
+  for (uint8_t k = 0; k <= uint8_t(SpanKind::kCompressedScan); ++k) {
+    *kind = SpanKind(k);
+    if (label.substr(0, bracket) == SpanKindName(*kind)) return true;
+  }
+  return false;
+}
+
 const char* FlightEventKindName(FlightEventKind kind) {
   switch (kind) {
     case FlightEventKind::kQueryBegin: return "query_begin";
@@ -56,8 +102,23 @@ const char* FlightEventKindName(FlightEventKind kind) {
     case FlightEventKind::kRollback: return "rollback";
     case FlightEventKind::kPolicySwitch: return "policy_switch";
     case FlightEventKind::kDeltaFlush: return "delta_flush";
+    case FlightEventKind::kSpan: return "span";
   }
   return "unknown";
+}
+
+std::string FlightEventJson(const FlightEvent& ev) {
+  return obs::JsonObject()
+      .Int("seq", ev.seq)
+      .Num("t_ms", ev.t_ms)
+      .Str("kind", FlightEventKindName(ev.kind))
+      .Str("label", ev.label)
+      .Raw("a", std::to_string(ev.a))
+      .Raw("b", std::to_string(ev.b))
+      .Num("x", ev.x)
+      .Int("trace", ev.trace)
+      .Int("session", ev.session)
+      .Build();
 }
 
 FlightRecorder::FlightRecorder(size_t capacity)
@@ -73,7 +134,8 @@ void FlightRecorder::set_sample_every(uint64_t n) {
 
 void FlightRecorder::RecordSlow(FlightEventKind kind,
                                 std::string_view label, int64_t a,
-                                int64_t b, double x, uint64_t trace) {
+                                int64_t b, double x,
+                                const causal::TraceContext& ctx) {
   uint64_t mask = sample_mask_.load(std::memory_order_relaxed);
   if (mask != 0 && IsSamplable(kind)) {
     uint64_t tick =
@@ -83,7 +145,23 @@ void FlightRecorder::RecordSlow(FlightEventKind kind,
       return;
     }
   }
+  Publish(kind, label, a, b, x, ctx, NowMs());
+}
 
+void FlightRecorder::RecordSpan(const causal::TraceContext& ctx,
+                                SpanKind kind, int32_t detail,
+                                double start_ms, double wall_ms,
+                                uint64_t rows, uint64_t pages) {
+  if (!enabled_.load(std::memory_order_relaxed)) return;
+  std::string label = SpanKindName(kind);
+  if (detail >= 0) label += "[" + std::to_string(detail) + "]";
+  Publish(FlightEventKind::kSpan, label, int64_t(rows), int64_t(pages),
+          wall_ms, ctx, start_ms);
+}
+
+void FlightRecorder::Publish(FlightEventKind kind, std::string_view label,
+                             int64_t a, int64_t b, double x,
+                             const causal::TraceContext& ctx, double t_ms) {
   uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[seq & mask_];
   // Odd marker = "torn"; readers that see it (or see it change across
@@ -91,12 +169,13 @@ void FlightRecorder::RecordSlow(FlightEventKind kind,
   // final even marker also observes every payload store before it.
   s.marker.store(seq * 2 + 1, std::memory_order_release);
 
-  s.t_ms.store(NowMs(), std::memory_order_relaxed);
+  s.t_ms.store(t_ms, std::memory_order_relaxed);
   s.kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);
   s.a.store(a, std::memory_order_relaxed);
   s.b.store(b, std::memory_order_relaxed);
   s.x.store(x, std::memory_order_relaxed);
-  s.trace.store(trace, std::memory_order_relaxed);
+  s.trace.store(ctx.trace_id, std::memory_order_relaxed);
+  s.session.store(ctx.session_id, std::memory_order_relaxed);
   uint64_t words[kLabelWords] = {};
   size_t n = std::min(label.size(), sizeof(words) - 1);  // keep a NUL
   std::memcpy(words, label.data(), n);
@@ -107,10 +186,12 @@ void FlightRecorder::RecordSlow(FlightEventKind kind,
   s.marker.store(seq * 2 + 2, std::memory_order_release);
 }
 
-std::vector<FlightEvent> FlightRecorder::SnapshotEvents() const {
+std::vector<FlightEvent> FlightRecorder::SnapshotEvents(
+    uint64_t first_seq) const {
   std::vector<FlightEvent> out;
   uint64_t head = head_.load(std::memory_order_acquire);
-  uint64_t first = head > capacity_ ? head - capacity_ : 0;
+  uint64_t first = std::min(
+      head, std::max(first_seq, head > capacity_ ? head - capacity_ : 0));
   out.reserve(static_cast<size_t>(head - first));
   for (uint64_t seq = first; seq < head; ++seq) {
     const Slot& s = slots_[seq & mask_];
@@ -125,6 +206,7 @@ std::vector<FlightEvent> FlightRecorder::SnapshotEvents() const {
     ev.b = s.b.load(std::memory_order_relaxed);
     ev.x = s.x.load(std::memory_order_relaxed);
     ev.trace = s.trace.load(std::memory_order_relaxed);
+    ev.session = s.session.load(std::memory_order_relaxed);
     uint64_t words[kLabelWords];
     for (size_t i = 0; i < kLabelWords; ++i) {
       words[i] = s.label[i].load(std::memory_order_relaxed);
@@ -142,18 +224,7 @@ std::string FlightRecorder::DumpJson(const std::string& reason) const {
   std::vector<FlightEvent> events = SnapshotEvents();
   std::vector<std::string> rows;
   rows.reserve(events.size());
-  for (const FlightEvent& ev : events) {
-    rows.push_back(obs::JsonObject()
-                       .Int("seq", ev.seq)
-                       .Num("t_ms", ev.t_ms)
-                       .Str("kind", FlightEventKindName(ev.kind))
-                       .Str("label", ev.label)
-                       .Raw("a", std::to_string(ev.a))
-                       .Raw("b", std::to_string(ev.b))
-                       .Num("x", ev.x)
-                       .Int("trace", ev.trace)
-                       .Build());
-  }
+  for (const FlightEvent& ev : events) rows.push_back(FlightEventJson(ev));
   obs::JsonObject flight;
   flight.Str("reason", reason)
       .Bool("enabled", enabled())
@@ -166,40 +237,13 @@ std::string FlightRecorder::DumpJson(const std::string& reason) const {
   return obs::JsonObject().Raw("flight", flight.Build()).Build();
 }
 
-void FlightRecorder::set_auto_dump_path(std::string path) {
-  MutexLock lock(auto_dump_mu_);
-  auto_dump_path_ = std::move(path);
-  auto_dump_armed_.store(!auto_dump_path_.empty(),
-                         std::memory_order_relaxed);
-}
-
-std::string FlightRecorder::auto_dump_path() const {
-  MutexLock lock(auto_dump_mu_);
-  return auto_dump_path_;
-}
-
-bool FlightRecorder::AutoDumpOnce(const std::string& reason) {
-  if (!auto_dump_armed_.load(std::memory_order_relaxed)) return false;
-  bool expected = false;
-  if (!auto_dump_fired_.compare_exchange_strong(
-          expected, true, std::memory_order_acq_rel)) {
-    return false;  // somebody else already shipped the black box
-  }
-  std::string path = auto_dump_path();
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << DumpJson(reason) << "\n";
-  auto_dumps_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 void FlightRecorder::Clear() {
   // Invalidate every published slot; in-flight writers republish theirs
   // with fresh seqs as head_ keeps climbing.
   for (size_t i = 0; i < capacity_; ++i) {
     slots_[i].marker.store(0, std::memory_order_release);
   }
-  auto_dump_fired_.store(false, std::memory_order_relaxed);
+  auto_dump_.Rearm();
 }
 
 }  // namespace statdb

@@ -5,9 +5,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "causal/trace_context.h"
@@ -17,16 +19,17 @@ namespace statdb {
 
 /// statdb::flight — the flight recorder (DESIGN.md §12).
 ///
-/// PR 3's metrics answer "how much, in total"; PR 3's traces answer "where
-/// did this one query spend its time". Neither answers the question a
-/// crash-matrix failure actually asks: *what was the system doing just
-/// before it died?* The flight recorder is the black box for that — a
-/// fixed-size ring of small structured events (query end, cache verdicts,
-/// maintainer arm/fire, WAL commit, injected fault, I/O retry, recovery
-/// step, degraded flip) that costs one relaxed load when disabled and a
-/// handful of relaxed stores when enabled, and that can always dump its
-/// last-N-events window as JSON — including automatically, once, on the
-/// first DATA_LOSS or degraded-mode entry.
+/// Metrics answer "how much, in total"; per-query traces answer "where
+/// did this one query spend its time"; the crash matrix asks "what was
+/// the system doing just before it died?". The flight recorder is the
+/// one event store behind the last two — a fixed-size ring of small
+/// structured events (query begin/end, query-phase spans, cache
+/// verdicts, maintainer arm/fire, WAL commit, injected fault, I/O retry,
+/// recovery step, degraded flip) on one clock, that costs one relaxed
+/// load when disabled and a handful of relaxed stores when enabled, and
+/// that can always dump its last-N-events window as JSON — including
+/// automatically, once, on the first DATA_LOSS or degraded-mode entry.
+/// A QueryTrace (flight/query_trace.h) is read back from this ring.
 ///
 /// Concurrency design: writers claim a slot with one fetch_add and stamp
 /// it with a per-slot sequence marker (odd while the payload is being
@@ -37,10 +40,66 @@ namespace statdb {
 /// path, wait-free except for the (unbounded but contention-free) reader
 /// retry which Dump sidesteps by skipping torn slots.
 
+/// Phases a query can spend time in: the names of kSpan events.
+enum class SpanKind : uint8_t {
+  kCacheProbe = 0,     // Summary Database lookup
+  kStalenessGate = 1,  // allow_stale / max_version_lag decision
+  kInference = 2,      // Database-Abstract rule consultation
+  kScan = 3,           // column read (whole serial read, or parallel wall)
+  kScanChunk = 4,      // one page-aligned chunk of a parallel scan
+  kCompute = 5,        // statistic computation / partial-state finish
+  kMaintainerArm = 6,  // incremental-maintainer construction + init
+  kSummaryInsert = 7,  // Summary Database insert of the fresh result
+  // Recovery phases (Dbms::Recover emits a "recover"-labeled trace so
+  // crash recovery is no longer an observability black hole):
+  kWalScan = 8,             // redo-log open + record scan
+  kRedoReplay = 9,          // full-page-image replay into the pools
+  kManifestApply = 10,      // catalog/view/summary state rebuild
+  kFallbackInvalidate = 11, // §4.3 hinted-attribute invalidation
+  // Compressed-domain scan over the RLE sidecar (DESIGN.md §14): rows =
+  // logical cells covered, pages = compressed pages touched.
+  kCompressedScan = 12,
+};
+
+const char* SpanKindName(SpanKind kind);
+
+/// Reads a span event's label ("scan", "scan_chunk[3]") back into its
+/// kind and chunk index (-1 when the label has none). False for a label
+/// no span kind produces.
+bool ParseSpanLabel(std::string_view label, SpanKind* kind, int32_t* detail);
+
+/// Provenance labels mirrored from core's AnswerSource (flight sits below
+/// core in the dependency DAG, so it keeps its own copy); kQueryEnd's
+/// `a` carries one.
+enum class TraceOutcome : uint8_t {
+  kUnknown = 0,
+  kCacheHit = 1,
+  kStaleCacheHit = 2,
+  kInferred = 3,
+  kComputed = 4,
+  kError = 5,
+};
+
+const char* TraceOutcomeName(TraceOutcome outcome);
+
+/// Wall-clock stopwatch used by the tracing call sites themselves.
+class TraceTimer {
+ public:
+  TraceTimer() : start_(std::chrono::steady_clock::now()) {}
+  double ElapsedMs() const {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start_)
+        .count();
+  }
+
+ private:
+  std::chrono::steady_clock::time_point start_;
+};
+
 /// What happened. Values are stable — they appear in dumped JSON.
 enum class FlightEventKind : uint8_t {
   kQueryBegin = 0,      // a = request index in batch (or 0)
-  kQueryEnd = 1,        // a = outcome (AnswerSource), b = rows, x = wall ms
+  kQueryEnd = 1,        // a = outcome (TraceOutcome), x = wall ms
   kCacheHit = 2,        // summary database answered fresh
   kCacheMiss = 3,       // summary database had nothing usable
   kStaleServe = 4,      // stale summary served under allow_stale
@@ -58,6 +117,8 @@ enum class FlightEventKind : uint8_t {
   kSessionClose = 16,   // a = session id, b = queries served
   kPolicySwitch = 17,   // "view.attr"; a = from strategy, b = to strategy
   kDeltaFlush = 18,     // "view.attr"; a = batch size, b = entries refreshed
+  kSpan = 19,  // "scan_chunk[3]"; t_ms = start, x = wall ms, a = rows,
+               // b = pages. Written only by RecordSpan, never sampled.
 };
 
 const char* FlightEventKindName(FlightEventKind kind);
@@ -72,9 +133,57 @@ struct FlightEvent {
   int64_t b = 0;
   double x = 0;
   /// The causal::TraceContext id of the operation this event belongs to
-  /// (DESIGN.md §17), or 0 when no context was live — the join key
-  /// against QueryTrace spans, delta-flush records and WAL commits.
+  /// (DESIGN.md §17), or 0 when no context was live — the key that
+  /// gathers an operation's spans, delta flushes and WAL commits into
+  /// its QueryTrace.
   uint64_t trace = 0;
+  uint64_t session = 0;  // the stamping context's session (0 = head path)
+};
+
+/// One event as the JSON object every dump uses: seq, t_ms, kind,
+/// label, a, b, x, trace, session.
+std::string FlightEventJson(const FlightEvent& ev);
+
+/// The one-shot incident dump behind STATDB_FLIGHT_DUMP and
+/// STATDB_SLOWLOG_DUMP: the first Fire() after arming writes the rendered
+/// document to the armed path; every later call is a no-op.
+class OneShotDump {
+ public:
+  /// Arms the dump; an empty path disarms it.
+  void set_path(std::string path) {
+    MutexLock lock(mu_);
+    path_ = std::move(path);
+  }
+
+  /// Writes `render()` if this is the first call since arming (or since
+  /// Rearm). Returns true if it wrote the file.
+  template <typename Render>
+  bool Fire(const Render& render) {
+    std::string path;
+    {
+      MutexLock lock(mu_);
+      if (path_.empty() || fired_) return false;
+      fired_ = true;  // first caller wins
+      path = path_;
+    }
+    std::ofstream out(path, std::ios::trunc);
+    if (!out) return false;
+    out << render() << "\n";
+    dumps_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
+  void Rearm() {
+    MutexLock lock(mu_);
+    fired_ = false;
+  }
+  uint64_t dumps() const { return dumps_.load(std::memory_order_relaxed); }
+
+ private:
+  Mutex mu_;
+  std::string path_ STATDB_GUARDED_BY(mu_);
+  bool fired_ STATDB_GUARDED_BY(mu_) = false;
+  std::atomic<uint64_t> dumps_{0};
 };
 
 class FlightRecorder {
@@ -94,8 +203,7 @@ class FlightRecorder {
   /// devices, WAL) attribute to whoever minted the ambient context.
   void Record(FlightEventKind kind, std::string_view label, int64_t a = 0,
               int64_t b = 0, double x = 0) {
-    if (!enabled_.load(std::memory_order_relaxed)) return;
-    RecordSlow(kind, label, a, b, x, causal::CurrentTraceId());
+    Record(causal::Current(), kind, label, a, b, x);
   }
 
   /// Explicit-context form (lint rule R8: core/delta/session call sites
@@ -106,8 +214,14 @@ class FlightRecorder {
               std::string_view label, int64_t a = 0, int64_t b = 0,
               double x = 0) {
     if (!enabled_.load(std::memory_order_relaxed)) return;
-    RecordSlow(kind, label, a, b, x, ctx.trace_id);
+    RecordSlow(kind, label, a, b, x, ctx);
   }
+
+  /// The span recorder, sole writer of kSpan events (lint R10): one
+  /// record per finished span; `start_ms` is on this recorder's clock.
+  void RecordSpan(const causal::TraceContext& ctx, SpanKind kind,
+                  int32_t detail, double start_ms, double wall_ms,
+                  uint64_t rows = 0, uint64_t pages = 0);
 
   void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
@@ -134,9 +248,10 @@ class FlightRecorder {
     return sampled_out_.load(std::memory_order_relaxed);
   }
 
-  /// Copies the currently-published window (oldest surviving → newest).
-  /// Slots a writer is mid-stamp on are skipped, not blocked on.
-  std::vector<FlightEvent> SnapshotEvents() const;
+  /// Copies the currently-published window (oldest surviving → newest),
+  /// starting no earlier than seq `first_seq`. Slots a writer is
+  /// mid-stamp on are skipped, not blocked on.
+  std::vector<FlightEvent> SnapshotEvents(uint64_t first_seq = 0) const;
 
   /// {"flight": {..., "events": [...]}} over the surviving window.
   /// `reason` tags the dump ("manual", "degraded", "data_loss", ...).
@@ -144,25 +259,26 @@ class FlightRecorder {
 
   /// Arms the automatic black-box dump: the first AutoDumpOnce() after
   /// this writes DumpJson(reason) to `path`. Empty path disarms.
-  void set_auto_dump_path(std::string path);
-  std::string auto_dump_path() const;
+  void set_auto_dump_path(std::string path) {
+    auto_dump_.set_path(std::move(path));
+  }
 
   /// Fires at most once per recorder lifetime (first caller wins; later
   /// calls — and calls with no armed path — are no-ops). Returns true if
   /// this call performed the dump. Safe from any thread.
-  bool AutoDumpOnce(const std::string& reason);
-  uint64_t auto_dumps() const {
-    return auto_dumps_.load(std::memory_order_relaxed);
+  bool AutoDumpOnce(const std::string& reason) {
+    return auto_dump_.Fire([&] { return DumpJson(reason); });
   }
+  uint64_t auto_dumps() const { return auto_dump_.dumps(); }
 
   /// Drops the recorded window and re-arms the auto dump. Counters keep
   /// their lifetime totals; `head_` keeps climbing so seqs stay unique.
   void Clear();
 
-  double NowMs() const {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
+  /// The recorder clock: ms since construction.
+  double NowMs() const { return ToMs(std::chrono::steady_clock::now()); }
+  double ToMs(std::chrono::steady_clock::time_point t) const {
+    return std::chrono::duration<double, std::milli>(t - epoch_).count();
   }
 
  private:
@@ -177,11 +293,15 @@ class FlightRecorder {
     std::atomic<int64_t> b{0};
     std::atomic<double> x{0};
     std::atomic<uint64_t> trace{0};
+    std::atomic<uint64_t> session{0};
     std::atomic<uint64_t> label[kLabelWords] = {};
   };
 
   void RecordSlow(FlightEventKind kind, std::string_view label, int64_t a,
-                  int64_t b, double x, uint64_t trace);
+                  int64_t b, double x, const causal::TraceContext& ctx);
+  void Publish(FlightEventKind kind, std::string_view label, int64_t a,
+               int64_t b, double x, const causal::TraceContext& ctx,
+               double t_ms);
 
   const size_t capacity_;
   const size_t mask_;
@@ -194,11 +314,53 @@ class FlightRecorder {
   std::atomic<uint64_t> sample_tick_{0};
   std::atomic<uint64_t> sampled_out_{0};
 
-  std::atomic<bool> auto_dump_armed_{false};
-  std::atomic<bool> auto_dump_fired_{false};
-  std::atomic<uint64_t> auto_dumps_{0};
-  mutable Mutex auto_dump_mu_;
-  std::string auto_dump_path_ STATDB_GUARDED_BY(auto_dump_mu_);
+  OneShotDump auto_dump_;
+};
+
+/// A traced operation's handle on the ring (DESIGN.md §10): where its
+/// spans go, the context that stamps them, and its first seq and start
+/// time there. Untraced operations pass nullptr instead.
+struct SpanTarget {
+  FlightRecorder* flight = nullptr;
+  causal::TraceContext ctx;
+  uint64_t first_seq = 0;
+  double begin_ms = 0;
+};
+
+/// RAII span: with a target, reads the recorder clock on open and records
+/// one kSpan event on close; with nullptr, one predictable branch each.
+class ScopedSpan {
+ public:
+  ScopedSpan(const SpanTarget* target, SpanKind kind, int32_t detail = -1)
+      : target_(target), kind_(kind), detail_(detail) {
+    if (target_ != nullptr) start_ms_ = target_->flight->NowMs();
+  }
+  ScopedSpan(const ScopedSpan&) = delete;
+  ScopedSpan& operator=(const ScopedSpan&) = delete;
+  ~ScopedSpan() {
+    if (target_ == nullptr) return;
+    target_->flight->RecordSpan(target_->ctx, kind_, detail_, start_ms_,
+                                target_->flight->NowMs() - start_ms_, rows_,
+                                pages_);
+  }
+
+  void SetRows(uint64_t rows) { rows_ = rows; }
+  void SetPages(uint64_t pages) { pages_ = pages; }
+  /// Rows plus the page count implied by `cells_per_page` cells per page.
+  void SetRowsPaged(uint64_t rows, size_t cells_per_page) {
+    rows_ = rows;
+    pages_ = cells_per_page == 0 ? 0
+                                 : (rows + cells_per_page - 1) /
+                                       cells_per_page;
+  }
+
+ private:
+  const SpanTarget* target_;
+  SpanKind kind_;
+  int32_t detail_;
+  uint64_t rows_ = 0;
+  uint64_t pages_ = 0;
+  double start_ms_ = 0;
 };
 
 }  // namespace statdb

@@ -5,7 +5,6 @@
 
 #include "causal/trace_context.h"
 #include "flight/flight_recorder.h"
-#include "obs/trace.h"
 #include "storage/column_file.h"
 #include "summary/summary_key.h"
 

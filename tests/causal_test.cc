@@ -1,9 +1,9 @@
 // End-to-end causal tracing (src/causal, DESIGN.md §17): context
 // minting/scoping, the SLO tracker's breach accounting, the bounded
-// slow-query log and its flight-event join, the Chrome trace-event
-// exporter, and — the point of the subsystem — the invariant that ONE
-// trace_id stitches together all four telemetry streams a top-level
-// operation touches: QueryTrace spans, flight events, delta-flush
+// slow-query log of assembled traces, the Chrome trace-event exporter
+// over flight events, and — the point of the subsystem — the invariant
+// that ONE trace_id stitches together everything a top-level operation
+// records in the flight ring: its spans, begin/end events, delta-flush
 // records and WAL commits.
 //
 // Also holds the begin/end pairing regression: every kQueryBegin must
@@ -24,8 +24,8 @@
 #include "common/rng.h"
 #include "core/dbms.h"
 #include "flight/flight_recorder.h"
+#include "flight/query_trace.h"
 #include "gtest/gtest.h"
-#include "obs/trace.h"
 #include "relational/datagen.h"
 #include "relational/expr.h"
 #include "session/session.h"
@@ -171,14 +171,21 @@ TEST(SloTrackerTest, UnconfiguredClassGetsDefaultTargetOnFirstSight) {
 
 // --- slow-query log ----------------------------------------------------------
 
-QueryTrace MakeTrace(uint64_t trace_id, const std::string& fn = "mean") {
-  QueryTrace t;
+/// A trace assembled from `flight`: one scan span under `ctx`.
+QueryTrace MakeTrace(FlightRecorder* flight, const TraceContext& ctx,
+                     const std::string& fn = "mean") {
+  const SpanTarget target{flight, ctx, 0, 0};
+  flight->RecordSpan(ctx, SpanKind::kScan, -1, flight->NowMs(), 1.5, 100, 2);
+  QueryTrace t = QueryTrace::Assemble(target);
   t.SetLabel("query", "v", fn, "INCOME");
-  t.SetContext(trace_id, 0, trace_id);
-  t.Add(SpanKind::kScan, 1.5, 100, 2);
   t.SetOutcome(TraceOutcome::kComputed);
   t.SetTotalMs(2.0);
   return t;
+}
+
+QueryTrace MakeTrace(uint64_t trace_id) {
+  FlightRecorder flight(16);
+  return MakeTrace(&flight, TraceContext{trace_id, 0, trace_id});
 }
 
 TEST(SlowQueryLogTest, BoundedRingDropsOldestAndCountsDrops) {
@@ -187,16 +194,14 @@ TEST(SlowQueryLogTest, BoundedRingDropsOldestAndCountsDrops) {
   log.set_threshold_ms(1.0);
   EXPECT_FALSE(log.ShouldCapture(0.5));
   EXPECT_TRUE(log.ShouldCapture(1.0));
-  for (uint64_t id = 1; id <= 6; ++id) {
-    log.Capture(MakeTrace(id), 5.0, /*flight=*/nullptr);
-  }
+  for (uint64_t id = 1; id <= 6; ++id) log.Capture(MakeTrace(id));
   EXPECT_EQ(log.size(), 4u);
   EXPECT_EQ(log.captured(), 6u);
   EXPECT_EQ(log.dropped(), 2u);
-  std::vector<SlowQueryLog::Entry> entries = log.Snapshot();
+  std::vector<QueryTrace> entries = log.Snapshot();
   ASSERT_EQ(entries.size(), 4u);
-  EXPECT_EQ(entries.front().trace.trace_id(), 3u);  // 1 and 2 dropped
-  EXPECT_EQ(entries.back().trace.trace_id(), 6u);
+  EXPECT_EQ(entries.front().trace_id(), 3u);  // 1 and 2 dropped
+  EXPECT_EQ(entries.back().trace_id(), 6u);
 }
 
 TEST(SlowQueryLogTest, CaptureJoinsOnlyFlightEventsOfTheSameTrace) {
@@ -212,14 +217,15 @@ TEST(SlowQueryLogTest, CaptureJoinsOnlyFlightEventsOfTheSameTrace) {
   SlowQueryLog log;
   log.set_enabled(true);
   log.set_threshold_ms(0.0);
-  log.Capture(MakeTrace(mine.trace_id), 7.5, &flight);
+  log.Capture(MakeTrace(&flight, mine));
 
-  std::vector<SlowQueryLog::Entry> entries = log.Snapshot();
+  std::vector<QueryTrace> entries = log.Snapshot();
   ASSERT_EQ(entries.size(), 1u);
-  const SlowQueryLog::Entry& e = entries[0];
-  EXPECT_EQ(e.wall_ms, 7.5);
-  ASSERT_EQ(e.events.size(), 3u);  // other's events filtered out
-  for (const FlightEvent& ev : e.events) {
+  const QueryTrace& e = entries[0];
+  EXPECT_EQ(e.total_ms(), 2.0);
+  EXPECT_EQ(e.size(), 1u);          // the scan span
+  ASSERT_EQ(e.events().size(), 3u);  // other's events filtered out
+  for (const FlightEvent& ev : e.events()) {
     EXPECT_EQ(ev.trace, mine.trace_id);
   }
   std::string json = log.DumpJson("test");
@@ -234,7 +240,7 @@ TEST(SlowQueryLogTest, AutoDumpFiresExactlyOnceAndWritesTheFile) {
   SlowQueryLog log;
   log.set_enabled(true);
   log.set_threshold_ms(0.0);
-  log.Capture(MakeTrace(42), 3.0, nullptr);
+  log.Capture(MakeTrace(42));
 
   // Unarmed: nothing fires.
   EXPECT_FALSE(log.AutoDumpOnce("degraded"));
@@ -254,12 +260,11 @@ TEST(ChromeTraceTest, ExportsCompleteInstantAndMetadataEvents) {
   FlightRecorder flight(32);
   TraceContext ctx = causal::Mint(/*session_id=*/5);
   flight.Record(ctx, FlightEventKind::kQueryBegin, "v.mean(INCOME)");
-  flight.Record(ctx, FlightEventKind::kQueryEnd, "v.mean(INCOME)");
+  flight.RecordSpan(ctx, SpanKind::kScan, -1, flight.NowMs(), 1.5, 100, 2);
+  flight.Record(ctx, FlightEventKind::kQueryEnd, "v.mean(INCOME)",
+                int64_t(TraceOutcome::kComputed));
 
-  QueryTrace t = MakeTrace(ctx.trace_id);
-  t.SetContext(ctx.trace_id, ctx.session_id, ctx.query_seq);
-
-  std::string doc = causal::ExportChromeTrace({t}, flight.SnapshotEvents());
+  std::string doc = causal::ExportChromeTrace(flight.SnapshotEvents());
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(doc.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\": \"X\""), std::string::npos);  // spans
@@ -267,6 +272,8 @@ TEST(ChromeTraceTest, ExportsCompleteInstantAndMetadataEvents) {
   EXPECT_NE(doc.find("\"ph\": \"M\""), std::string::npos);  // lane names
   EXPECT_NE(doc.find("\"statdb\""), std::string::npos);
   EXPECT_NE(doc.find("session 5"), std::string::npos);  // session lane
+  EXPECT_NE(doc.find("\"cat\": \"operation\""), std::string::npos);
+  EXPECT_NE(doc.find("\"outcome\": \"computed\""), std::string::npos);
 }
 
 TEST(ChromeTraceTest, TraceIdFilterRestrictsTheExport) {
@@ -275,15 +282,15 @@ TEST(ChromeTraceTest, TraceIdFilterRestrictsTheExport) {
   TraceContext b = causal::Mint();
   flight.Record(a, FlightEventKind::kQueryBegin, "v.mean(INCOME)");
   flight.Record(b, FlightEventKind::kQueryBegin, "v.max(AGE)");
-  QueryTrace ta = MakeTrace(a.trace_id, "mean");
-  QueryTrace tb = MakeTrace(b.trace_id, "max");
+  flight.RecordSpan(a, SpanKind::kScan, -1, flight.NowMs(), 1.0);
+  flight.RecordSpan(b, SpanKind::kCompute, -1, flight.NowMs(), 1.0);
 
   std::string doc =
-      causal::ExportChromeTrace({ta, tb}, flight.SnapshotEvents(),
-                                a.trace_id);
-  EXPECT_NE(doc.find("query mean(INCOME)"), std::string::npos);
-  EXPECT_EQ(doc.find("query max(INCOME)"), std::string::npos);
+      causal::ExportChromeTrace(flight.SnapshotEvents(), a.trace_id);
+  EXPECT_NE(doc.find("v.mean(INCOME)"), std::string::npos);
+  EXPECT_NE(doc.find("\"name\": \"scan\""), std::string::npos);
   EXPECT_EQ(doc.find("v.max(AGE)"), std::string::npos);
+  EXPECT_EQ(doc.find("compute"), std::string::npos);
 }
 
 // --- Dbms integration --------------------------------------------------------
@@ -383,14 +390,21 @@ TEST_F(CausalDbmsTest, EveryEntryPointMintsADistinctContext) {
   std::vector<QueryTrace> hit = sink.Take();
   ASSERT_EQ(hit.size(), 1u);
   EXPECT_EQ(hit[0].outcome(), TraceOutcome::kCacheHit);
-  bool saw_hit = false;
+  bool saw_hit = false, saw_end = false;
   for (const FlightEvent& e : dbms_->flight().SnapshotEvents()) {
-    if (e.kind != FlightEventKind::kCacheHit) continue;
     if (e.trace != hit[0].trace_id()) continue;
+    if (e.kind == FlightEventKind::kQueryEnd) {
+      // kQueryEnd's `a` is the TraceOutcome, not an AnswerSource.
+      saw_end = true;
+      EXPECT_EQ(e.a, int64_t(TraceOutcome::kCacheHit));
+    }
+    if (e.kind != FlightEventKind::kCacheHit) continue;
     saw_hit = true;
     EXPECT_STREQ(e.label, "correlation(AGE,INCOME)");
   }
   EXPECT_TRUE(saw_hit) << "bivariate kCacheHit missing for trace "
+                       << hit[0].trace_id();
+  EXPECT_TRUE(saw_end) << "kQueryEnd missing for trace "
                        << hit[0].trace_id();
 }
 
@@ -476,11 +490,11 @@ TEST_F(CausalDbmsTest, OneTraceIdJoinsAllFourTelemetryStreams) {
   EXPECT_EQ(dbms_->PendingDeltas("v").value(), 0u);
 
   // The slow log captured the same story (threshold 0 retains all)...
-  std::vector<SlowQueryLog::Entry> entries =
-      dbms_->slow_query_log().Snapshot();
+  std::vector<QueryTrace> entries = dbms_->slow_query_log().Snapshot();
   ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].trace.trace_id(), id);
-  for (const FlightEvent& e : entries[0].events) EXPECT_EQ(e.trace, id);
+  EXPECT_EQ(entries[0].trace_id(), id);
+  EXPECT_GT(entries[0].size(), 0u);
+  for (const FlightEvent& e : entries[0].events()) EXPECT_EQ(e.trace, id);
   // ...and the Chrome export of exactly this operation renders it.
   std::string doc = dbms_->DumpChromeTrace(id);
   EXPECT_NE(doc.find("\"trace_id\": " + std::to_string(id)),

@@ -520,6 +520,52 @@ TEST_F(DbAuditorTest, AuditedUpdateFailsWhenCacheIsPoisoned) {
       << n.status().ToString();
 }
 
+// Audit-after-update must not drain the delta buffer: an entry on an
+// attribute with pending deltas is checked against the view with those
+// deltas undone — the state the entry still describes.
+TEST_F(DbAuditorTest, AuditChecksPendingAttributesWithoutDraining) {
+  delta::DeltaConfig cfg;
+  cfg.adaptive = false;
+  cfg.default_strategy = delta::MaintenanceStrategy::kDeltaBatched;
+  cfg.flush_threshold = size_t{1} << 40;  // only barriers flush
+  dbms_->set_delta_config(cfg);
+  dbms_->set_audit_after_update(true);
+  STATDB_ASSERT_OK(dbms_->Query("v", "mean", "INCOME").status());
+  STATDB_ASSERT_OK(
+      dbms_->QueryBivariate("v", "correlation", "INCOME", "AGE").status());
+  UpdateSpec spec;
+  spec.predicate = Lt(Col("AGE"), Lit(int64_t{30}));
+  spec.column = "INCOME";
+  spec.value = Mul(Col("INCOME"), Lit(2.0));
+  // The audited update passes and leaves its deltas buffered.
+  auto n = dbms_->Update("v", spec);
+  STATDB_ASSERT_OK(n.status());
+  ASSERT_GT(*n, 0u);
+  const uint64_t pending = dbms_->PendingDeltas("v").value();
+  ASSERT_GT(pending, 0u);
+  std::string text;
+  Status clean = FsckDatabase(dbms_.get(), &text);
+  EXPECT_TRUE(clean.ok()) << text;
+  EXPECT_EQ(dbms_->PendingDeltas("v").value(), pending);
+
+  // A cached value corrupted on the pending attribute still fails, both
+  // a standalone fsck and the next audited update.
+  auto summary = dbms_->GetSummaryDb("v");
+  ASSERT_TRUE(summary.ok());
+  STATDB_ASSERT_OK((*summary)->Refresh(SummaryKey::Of("mean", "INCOME"),
+                                       SummaryResult::Scalar(-1), 0));
+  Status verdict = FsckDatabase(dbms_.get(), &text);
+  EXPECT_EQ(verdict.code(), StatusCode::kDataLoss) << verdict.ToString();
+  EXPECT_NE(text.find("summary-drift"), std::string::npos) << text;
+  EXPECT_EQ(dbms_->PendingDeltas("v").value(), pending);
+  UpdateSpec other;
+  other.predicate = nullptr;
+  other.column = "HOURS_WORKED";
+  other.value = Lit(0.0);
+  EXPECT_EQ(dbms_->Update("v", other).status().code(),
+            StatusCode::kDataLoss);
+}
+
 TEST_F(DbAuditorTest, RollbackIsAuditedToo) {
   dbms_->set_audit_after_update(true);
   UpdateSpec spec;

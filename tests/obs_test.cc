@@ -14,8 +14,8 @@
 
 #include "core/dbms.h"
 #include "fault/fault.h"
+#include "flight/query_trace.h"
 #include "gtest/gtest.h"
-#include "obs/trace.h"
 #include "relational/datagen.h"
 #include "relational/expr.h"
 #include "tests/test_util.h"
@@ -107,29 +107,46 @@ TEST(MetricsTest, RegistryCountersAreExactUnderContention) {
 // --- traces -----------------------------------------------------------------
 
 TEST(TraceTest, SpansAccumulateAndOverflowDropsNotGrows) {
-  QueryTrace t;
+  FlightRecorder flight(64);
+  const causal::TraceContext ctx = causal::Mint();
+  const SpanTarget target{&flight, ctx, flight.recorded(), flight.NowMs()};
+  flight.RecordSpan(ctx, SpanKind::kCacheProbe, -1, target.begin_ms, 0.5, 0,
+                    1);
+  flight.RecordSpan(ctx, SpanKind::kScan, -1, target.begin_ms, 2.0, 100, 4);
+  // Excluded from the sum.
+  flight.RecordSpan(ctx, SpanKind::kScanChunk, 0, target.begin_ms, 1.5, 50,
+                    2);
+  flight.RecordSpan(causal::Mint(), SpanKind::kScan, -1, 0, 9.0);  // other
+  QueryTrace t = QueryTrace::Assemble(target);
   t.SetLabel("query", "v", "mean", "INCOME");
-  t.Add(SpanKind::kCacheProbe, 0.5, 0, 1);
-  t.Add(SpanKind::kScan, 2.0, 100, 4);
-  t.Add(SpanKind::kScanChunk, 1.5, 50, 2, 0);  // excluded from the sum
-  EXPECT_EQ(t.size(), 3u);
+  ASSERT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.trace_id(), ctx.trace_id);
+  EXPECT_EQ(t.span(2).kind, SpanKind::kScanChunk);
+  EXPECT_EQ(t.span(2).detail, 0);
+  EXPECT_EQ(t.span(1).rows, 100u);
+  EXPECT_EQ(t.span(1).pages, 4u);
   EXPECT_DOUBLE_EQ(t.SpanSumMs(), 2.5);
-  for (size_t i = 0; i < 2 * QueryTrace::kMaxSpans; ++i) {
-    t.Add(SpanKind::kCompute, 0.1);
+  EXPECT_FALSE(t.truncated());
+  // The ring is the only store: overflowing it overwrites the oldest
+  // spans instead of growing, and the trace reports itself truncated.
+  for (size_t i = 0; i < 2 * flight.capacity(); ++i) {
+    flight.RecordSpan(ctx, SpanKind::kCompute, -1, target.begin_ms, 0.1);
   }
-  EXPECT_EQ(t.size(), QueryTrace::kMaxSpans);
-  EXPECT_GT(t.dropped(), 0u);
-  std::string json = t.ToJson();
+  QueryTrace wrapped = QueryTrace::Assemble(target);
+  wrapped.SetLabel("query", "v", "mean", "INCOME");
+  EXPECT_EQ(wrapped.size(), flight.capacity());
+  EXPECT_TRUE(wrapped.truncated());
+  std::string json = wrapped.ToJson();
   EXPECT_NE(json.find("\"operation\": \"query\""), std::string::npos);
   EXPECT_NE(json.find("\"spans\""), std::string::npos);
-  EXPECT_NE(json.find("\"dropped_spans\""), std::string::npos);
+  EXPECT_NE(json.find("\"truncated\""), std::string::npos);
   std::string text = t.ToText();
   EXPECT_NE(text.find("cache_probe"), std::string::npos);
   EXPECT_NE(text.find("scan"), std::string::npos);
 }
 
 TEST(TraceTest, ScopedSpanWithNullTraceTouchesNothing) {
-  // The zero-cost contract: no trace, no span recorded (and no crash).
+  // The zero-cost contract: no target, no span recorded (and no crash).
   ScopedSpan span(nullptr, SpanKind::kScan);
   span.SetRows(100);
   span.SetRowsPaged(100, 0);  // cells_per_page 0 must not divide by zero
@@ -202,6 +219,21 @@ TEST_F(ObsDbmsTest, EveryQueryEntryPointEmitsATrace) {
   }
   EXPECT_TRUE(saw_scan);
   EXPECT_TRUE(saw_insert);
+  // Chunk spans carry their own start: each begins no earlier than the
+  // kScan span that encloses it (recorded just before its chunks).
+  size_t chunks = 0;
+  for (const QueryTrace& t : traces) {
+    const TraceSpan* scan = nullptr;
+    for (size_t i = 0; i < t.size(); ++i) {
+      if (t.span(i).kind == SpanKind::kScan) scan = &t.span(i);
+      if (t.span(i).kind != SpanKind::kScanChunk) continue;
+      ++chunks;
+      ASSERT_NE(scan, nullptr) << t.operation();
+      EXPECT_GE(t.span(i).start_ms, scan->start_ms)
+          << t.operation() << " chunk " << t.span(i).detail;
+    }
+  }
+  EXPECT_GT(chunks, 0u);
 }
 
 TEST_F(ObsDbmsTest, CacheHitAndErrorOutcomesAreLabeled) {
